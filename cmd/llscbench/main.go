@@ -5,12 +5,11 @@
 // serving-layer load experiment (E11; cmd/llscload is its standalone
 // load generator), the durability-cost experiment across fsync
 // policies (E12), the hot-path allocation gate (E13, held at zero by
-// cmd/llscgate in CI), the observability-overhead experiment (E14:
-// serving throughput with the latency histograms off vs on), and the
-// tracing-overhead experiment (E15: no tracer vs idle tracer vs
-// 1-in-64 sampling vs every request traced), and the overload-control
-// experiment (E16: goodput under 2x open-loop offered load with
-// admission control off vs on).
+// cmd/llscgate in CI), the instrumentation-overhead experiment (E15:
+// the always-on server with its tracer idle vs 1-in-64 sampling vs
+// every request traced; it absorbed the former E14), and the
+// overload-control experiment (E16: goodput under 2x open-loop offered
+// load with admission control off vs on).
 // docs/BENCHMARKS.md documents the methodology and the full catalog.
 //
 // Usage:
@@ -18,7 +17,7 @@
 //	llscbench [-e e1,e3] [-impls jp,amstyle] [-dur 200ms] [-iters 50000] [-procs 1,4] [-csv] [-json out.json]
 //
 // With no -e flag every experiment runs. -procs sets the GOMAXPROCS
-// sweep for the serving experiments E11/E12/E14/E15 (default {1,4,8,16} capped
+// sweep for the serving experiments E11/E12/E15 (default {1,4,8,16} capped
 // at the machine's parallelism); values above NumCPU are allowed and
 // the report's gomaxprocs/num_cpu stamps record the truth. Results
 // print as plain-text tables. With -json PATH the run is also written
@@ -51,7 +50,7 @@ func run(args []string) int {
 		implList = fs.String("impls", "", "comma-separated implementations (default: all of "+strings.Join(impls.Names(), ",")+")")
 		dur      = fs.Duration("dur", 150*time.Millisecond, "measurement window per throughput point")
 		iters    = fs.Int("iters", 30000, "iterations per latency point")
-		procList = fs.String("procs", "", "comma-separated GOMAXPROCS sweep for E11/E12/E14/E15 (default: 1,4,8,16 capped at the machine)")
+		procList = fs.String("procs", "", "comma-separated GOMAXPROCS sweep for E11/E12/E15 (default: 1,4,8,16 capped at the machine)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables (for plotting)")
 		jsonOut  = fs.String("json", "", "also write a machine-readable JSON report to this path (\"-\" = stdout only)")
 	)
@@ -91,7 +90,6 @@ func run(args []string) int {
 		{"e11", bench.E11NetServing},
 		{"e12", bench.E12Durability},
 		{"e13", bench.E13Allocs},
-		{"e14", bench.E14ObsOverhead},
 		{"e15", bench.E15TraceOverhead},
 		{"e16", bench.E16Overload},
 	}

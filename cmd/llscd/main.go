@@ -41,12 +41,13 @@
 // rejected as unavailable — instead of accepting updates that would not
 // survive a restart. docs/OPERATIONS.md has the runbook.
 //
-// Per-request tracing (internal/trace) is always compiled in: requests
-// flagged by the client are traced on demand, -trace-sample N
-// additionally head-samples 1 in N requests per connection, and every
-// trace slower than -slow-threshold emits one structured slow-op log
-// line on stdout. With sampling off and no flagged requests the
-// tracing layer costs one clock read per batch (priced by E15).
+// Latency histograms and per-request tracing (internal/trace) are
+// always on: requests flagged by the client are traced on demand,
+// -trace-sample N additionally head-samples 1 in N requests per
+// connection, and every trace slower than -slow-threshold emits one
+// structured slow-op log line on stdout. Histograms and spans read the
+// same per-batch stage clock; E15 prices the instrumented path with
+// sampling off and turned up.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops
 // accepting, closes open connections, waits for the per-connection
@@ -121,12 +122,11 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "llscd: %v\n", err)
 		return 1
 	}
-	// Histograms are always on in the daemon: E14 prices them at well
-	// under the gate's 3% and a daemon you cannot ask for its latency
-	// distribution is not operable. The tracer likewise: with sampling
-	// off it only serves client-flagged requests (E15 prices the
-	// untraced path), and a daemon that cannot answer "where did this
-	// slow request go" is not debuggable.
+	// Every server carries latency histograms and a tracer: a daemon you
+	// cannot ask for its latency distribution is not operable, and one
+	// that cannot answer "where did this slow request go" is not
+	// debuggable. The daemon only configures the tracer's sampling and
+	// slow-op log.
 	tr := trace.New(trace.Config{
 		SampleN:       *sampleN,
 		SlowThreshold: *slowThr,
@@ -136,7 +136,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 	})
 	opts := []server.Option{
 		server.WithMaxBatch(*maxBatch),
-		server.WithMetrics(server.NewMetrics(*slots)),
 		server.WithTracer(tr),
 		server.WithMaxConns(*maxConns),
 		server.WithIdleTimeout(*idleTO),

@@ -167,12 +167,12 @@
 // profiler under /debug/pprof/; the Stats wire opcode (Client.Stats)
 // carries the same counter totals plus p50/p99/p999 service latency
 // and fsync p99 as optional trailing words old clients ignore. Every
-// surface folds the same striped banks, so they never disagree. The
-// E13 allocation gate runs with observability enabled, and the E14
-// experiment (cmd/llscbench -e e14) prices the histograms against a
-// server without them — the delta sits inside measurement noise,
-// with a documented ceiling of 3%. The metric catalog and design
-// notes live in docs/OBSERVABILITY.md.
+// surface folds the same striped banks, so they never disagree. Every
+// server is instrumented — there is no configuration without the
+// histograms — so the E13 allocation gate runs with them enabled, and
+// the E15 experiment (cmd/llscbench -e e15) prices tracing turned up
+// against the idle default. The metric catalog and design notes live
+// in docs/OBSERVABILITY.md.
 //
 // # Substrates
 //

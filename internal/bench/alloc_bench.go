@@ -10,8 +10,8 @@ import (
 // E13Allocs builds the allocation-gate table: steady-state heap
 // allocations per operation on every stage of the serving hot path —
 // wire encode and decode for requests and responses, and the server's
-// batch-execute path for Read and Update. Each row must be zero: the
-// response arena, recycled frame/data buffers, reacquirable map handle
+// batch-execute path and writer handoff for Read and Update. Each row
+// must be zero: the recycled batch units, frame/data buffers, reacquirable map handle
 // and pre-bound merge closures exist precisely so that serving a warm
 // request allocates nothing, and the CI gate (cmd/llscgate) fails the
 // build on any increase, which is how an accidental new allocation on
@@ -23,7 +23,7 @@ func E13Allocs(o Options) (*Table, error) {
 		ID:    "e13",
 		Title: "E13: steady-state heap allocations per op on the serving hot path",
 		Note: "wire rows: one encode or decode of a W=2 Update/Read-shaped payload into recycled buffers; " +
-			"server rows: one request through the batch executor (arena, handle and buffers warm). " +
+			"server rows: one request through the batch executor and writer handoff (units, handle and buffers warm). " +
 			"All rows are gated at zero — any increase fails llscgate.",
 		Cols: []string{"path", "allocs/op"},
 	}

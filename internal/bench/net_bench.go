@@ -11,7 +11,6 @@ import (
 	"mwllsc/internal/client"
 	"mwllsc/internal/server"
 	"mwllsc/internal/shard"
-	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
@@ -23,16 +22,11 @@ func StartLoopbackServer(k, n, w, maxBatch int) (*server.Server, string, error) 
 	if err != nil {
 		return nil, "", err
 	}
-	// Metrics and tracer on, matching the daemon's always-on
-	// configuration: the numbers the serving benchmarks record are the
+	// Every server carries latency histograms and an idle tracer, as the
+	// daemon does: the numbers the serving benchmarks record are the
 	// numbers production pays, llscload's server-side latency columns
-	// need the histograms populated, and its -trace exemplars need a
-	// tracer answering. Sampling stays off, so the tracer's untraced
-	// cost is one clock read per batch (priced by E15).
-	s := server.New(m,
-		server.WithMaxBatch(maxBatch),
-		server.WithMetrics(server.NewMetrics(n)),
-		server.WithTracer(trace.New(trace.Config{})))
+	// read the histograms, and its -trace exemplars read the tracer.
+	s := server.New(m, server.WithMaxBatch(maxBatch))
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, "", err

@@ -1,7 +1,7 @@
 // Package bench is the shared benchmark harness behind cmd/llscbench,
 // cmd/llscspace and the root bench_test.go: workload generators, latency
 // and throughput measurement, space accounting, and table rendering
-// (text, CSV, and JSON reports) for the experiments E1-E14 cataloged in
+// (text, CSV, and JSON reports) for the experiments E1-E16 cataloged in
 // docs/BENCHMARKS.md.
 package bench
 

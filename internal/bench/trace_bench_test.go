@@ -13,23 +13,20 @@ func TestE15TraceOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "e15" || len(tab.Rows) != 4 || len(tab.Cols) != 6 {
+	if tab.ID != "e15" || len(tab.Rows) != 3 || len(tab.Cols) != 6 {
 		t.Fatalf("table shape: id=%s rows=%d cols=%d", tab.ID, len(tab.Rows), len(tab.Cols))
 	}
-	// Rows run off, idle, 1/64, all. The span rate column must be zero
+	// Rows run idle, 1/64, all. The span rate column must be zero
 	// without sampling and nonzero when every request is traced.
-	for i, mode := range []string{"off", "idle", "1/64", "all"} {
+	for i, mode := range []string{"idle", "1/64", "all"} {
 		if tab.Rows[i][1] != mode {
 			t.Fatalf("row %d mode = %s, want %s", i, tab.Rows[i][1], mode)
 		}
 	}
 	if got := tab.Rows[0][5]; got != "0" {
-		t.Errorf("off row spans/s = %s, want 0", got)
-	}
-	if got := tab.Rows[1][5]; got != "0" {
 		t.Errorf("idle row spans/s = %s, want 0", got)
 	}
-	if got := tab.Rows[3][5]; got == "0" {
+	if got := tab.Rows[2][5]; got == "0" {
 		t.Errorf("all-on row retired no spans")
 	}
 }

@@ -298,9 +298,11 @@ func TestAllConnsBrokenSurfaceError(t *testing.T) {
 }
 
 // TestRawMalformedFrame drives the server with a hand-built bad frame
-// and checks the error response comes back well-formed.
+// and checks the error response comes back well-formed — alone, and
+// pipelined between two good requests in one write, where all three
+// answers must come back and only the bad frame counts as BadReqs.
 func TestRawMalformedFrame(t *testing.T) {
-	_, addr := startServer(t, 2, 2, 1)
+	s, addr := startServer(t, 2, 2, 1)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +325,34 @@ func TestRawMalformedFrame(t *testing.T) {
 	}
 	if resp.Status != wire.StatusBadRequest {
 		t.Fatalf("status %v, want bad-request", resp.Status)
+	}
+
+	before := s.Stats().BadReqs
+	var buf []byte
+	buf = wire.AppendFrame(buf, wire.AppendRequest(nil, &wire.Request{ID: 11, Op: wire.OpRead, Key: 1}))
+	buf = wire.AppendFrame(buf, payload)
+	buf = wire.AppendFrame(buf, wire.AppendRequest(nil, &wire.Request{ID: 13, Op: wire.OpRead, Key: 2}))
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	got := map[wire.Status]int{}
+	for i := 0; i < 3; i++ {
+		if frame, err = wire.ReadFrame(nc, frame); err != nil {
+			t.Fatalf("response %d of 3: %v", i+1, err)
+		}
+		if err := wire.DecodeResponse(&resp, frame); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status == wire.StatusOK && resp.ID != 11 && resp.ID != 13 {
+			t.Fatalf("OK response for unknown id %d", resp.ID)
+		}
+		got[resp.Status]++
+	}
+	if got[wire.StatusOK] != 2 || got[wire.StatusBadRequest] != 1 {
+		t.Fatalf("pipelined [good, bad, good] answered %v, want 2 OK and 1 bad-request", got)
+	}
+	if d := s.Stats().BadReqs - before; d != 1 {
+		t.Fatalf("BadReqs rose by %d, want exactly 1", d)
 	}
 }
 

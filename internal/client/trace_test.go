@@ -97,20 +97,27 @@ func TestWithTraceFillsClientAndServerStages(t *testing.T) {
 	}
 }
 
-func TestWithTraceAgainstTracerlessServer(t *testing.T) {
-	// A traced call against a server with no tracer attached still
-	// succeeds; the request's suffix decodes fine, the server just has
-	// nowhere to record it, so no breakdown comes back.
-	_, addr := startServer(t, 4, 3, 2)
+func TestWithTraceWhenSpansRunDry(t *testing.T) {
+	// A traced call against a server whose tracer has no free span
+	// still succeeds: the server has nowhere to record it, serves it
+	// untraced and counts the drop, so no breakdown comes back.
+	tr := trace.New(trace.Config{MaxLive: 1})
+	if tr.Get() == nil { // hold the only span
+		t.Fatal("fresh tracer has no span")
+	}
+	_, addr := startServer(t, 4, 3, 2, server.WithTracer(tr))
 	c := dial(t, addr)
 	var ct client.Trace
 	if _, err := c.Add(client.WithTrace(context.Background(), &ct), 1, []uint64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ct.ServerStages) != 0 {
-		t.Fatalf("tracerless server echoed stages: %+v", ct)
+		t.Fatalf("server without a free span echoed stages: %+v", ct)
 	}
 	if ct.Total <= 0 {
 		t.Fatalf("client stages not stamped: %+v", ct)
+	}
+	if st := tr.Stats(); st.Dropped != 1 || st.Retired != 0 {
+		t.Fatalf("tracer stats %+v, want 1 dropped and none retired", st)
 	}
 }

@@ -2,25 +2,25 @@ package server
 
 import (
 	"runtime"
+	"time"
 
 	"mwllsc/internal/shard"
-	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
 // HotPathAllocs reports the steady-state heap allocations per request of
 // the server's batch-execute path, for Read and for Update — the number
 // the E13 allocation gate (internal/bench, cmd/llscgate) tracks across
-// PRs, and it must be zero: the response arena, the recycled decode
+// PRs, and it must be zero: the recycled batch units and decode
 // buffers, the reacquirable map handle and the pre-bound merge closures
 // exist precisely so that serving a request costs no allocation.
 //
-// It drives executeBatch directly with pre-decoded batches rather than
-// through a TCP connection: internal/bench cannot reach the unexported
-// execute machinery, and a socket would fold goroutine wakeups and bufio
-// into a measurement whose entire point is an exact zero for the execute
-// path alone (the wire encode/decode halves are measured separately by
-// E13's wire rows).
+// It drives executeBatch and the writer handoff directly with
+// pre-decoded batches rather than through a TCP connection:
+// internal/bench cannot reach the unexported execute machinery, and a
+// socket would fold goroutine wakeups and bufio into a measurement
+// whose entire point is an exact zero for the execute path alone (the
+// wire encode/decode halves are measured separately by E13's wire rows).
 func HotPathAllocs(runs int) (readAllocs, updateAllocs float64, err error) {
 	const (
 		k      = 4
@@ -31,16 +31,14 @@ func HotPathAllocs(runs int) (readAllocs, updateAllocs float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	// Metrics on, tracer attached with sampling off, admission control
-	// enabled: the zero-allocs gate must hold with the full
-	// observability stack compiled in and the overload controls armed,
-	// or those layers would quietly exempt themselves from the
-	// discipline they exist to watch. (The token is a non-blocking
-	// channel send per batch — the gate proves it stays free.)
-	s := New(m, WithMetrics(NewMetrics(m.N())), WithTracer(trace.New(trace.Config{})),
-		WithMaxInflight(4))
+	// New's default metrics and idle tracer, admission control enabled:
+	// the zero-allocs gate must hold with the full observability stack
+	// running and the overload controls armed, or those layers would
+	// quietly exempt themselves from the discipline they exist to watch.
+	// (The token is a non-blocking channel send per batch — the gate
+	// proves it stays free.)
+	s := New(m, WithMaxInflight(4))
 	cs := s.newConnState()
-	out := make(chan outResp, 2*batchN)
 
 	args := []uint64{1, 2}
 	mkBatch := func(op wire.Op) {
@@ -56,23 +54,33 @@ func HotPathAllocs(runs int) (readAllocs, updateAllocs float64, err error) {
 			cs.batch = append(cs.batch, br)
 		}
 	}
-	// One execute round: run the batch, then recycle the responses the
-	// writer goroutine would have returned to the arena.
-	round := func() {
-		s.executeBatch(cs, out)
-		for i := 0; i < batchN; i++ {
-			cs.putResp((<-out).resp)
-		}
-	}
-
 	measure := func(op wire.Op) float64 {
 		mkBatch(op)
-		round() // warm the arena, handle, and data buffers
-		return allocsPerRun(runs, round) / batchN
+		for i := 0; i < outUnits; i++ {
+			s.execRound(cs) // warm every unit, the handle and the data buffers
+		}
+		return allocsPerRun(runs, func() { s.execRound(cs) }) / batchN
 	}
 	readAllocs = measure(wire.OpRead)
 	updateAllocs = measure(wire.OpUpdate)
 	return readAllocs, updateAllocs, nil
+}
+
+// execRound executes cs's gathered batch through the connection
+// handoff — take a unit, execute, emit — and plays the writer's part
+// minus the encode and write: it finishes and retires the unit's spans
+// as if just flushed and recycles the unit.
+func (s *Server) execRound(cs *connState) {
+	cs.unit = <-cs.free
+	s.executeBatch(cs)
+	u := <-cs.out
+	for i := range u.items {
+		if sp := u.items[i].span; sp != nil {
+			sp.Finish(time.Now())
+			s.tracer.Retire(sp)
+		}
+	}
+	cs.recycle(u)
 }
 
 // allocsPerRun mirrors testing.AllocsPerRun for non-test binaries (the

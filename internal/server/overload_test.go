@@ -11,6 +11,7 @@ import (
 	"mwllsc/internal/fault"
 	"mwllsc/internal/persist"
 	"mwllsc/internal/shard"
+	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
@@ -236,6 +237,90 @@ func TestBusyRejectWhenSaturated(t *testing.T) {
 		t.Fatalf("admitted update lost: key 1 = %d, want 1", got[0])
 	}
 	<-s.sem
+}
+
+// TestBusyRejectTracedSpan: a busy-rejected batch still produces spans
+// through the shared span-fill path. Three pipelined requests arrive in
+// one write, the middle one client-flagged; the saturated server must
+// answer all three busy and retire exactly one span, marked Err, under
+// the client's id, with the rejected batch's size.
+func TestBusyRejectTracedSpan(t *testing.T) {
+	tr := trace.New(trace.Config{Recent: 8})
+	s, addr := newTestServer(t, WithMaxInflight(1), WithTracer(tr))
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+
+	const traceID = 0xb05ec0de
+	var buf []byte
+	for i := uint64(1); i <= 3; i++ {
+		req := &wire.Request{ID: i, Op: wire.OpRead, Key: i}
+		if i == 2 {
+			req.Traced, req.TraceID = true, traceID
+		}
+		buf = wire.AppendFrame(buf, wire.AppendRequest(nil, req))
+	}
+	c := rawDial(t, addr)
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if resp := readResp(t, c); resp.Status != wire.StatusBusy || resp.Traced {
+			t.Fatalf("response %d: status %v traced %v, want busy without a trace echo", resp.ID, resp.Status, resp.Traced)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Stats().Retired < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	spans := tr.Recent(nil, 0)
+	if len(spans) != 1 {
+		t.Fatalf("retired %d spans, want exactly 1: %+v", len(spans), spans)
+	}
+	sp := spans[0]
+	if !sp.Err || sp.Sampled || sp.TraceID != traceID || sp.Batch != 3 || sp.Key != 2 {
+		t.Fatalf("busy span = %+v, want Err, client id %x, batch 3, key 2", sp, traceID)
+	}
+	var sum uint64
+	for _, d := range sp.Stages {
+		sum += d
+	}
+	if sum != sp.Total {
+		t.Fatalf("busy span stage sum %d != total %d", sum, sp.Total)
+	}
+	if st := s.Stats(); st.BusyRejects != 3 {
+		t.Fatalf("BusyRejects = %d, want 3", st.BusyRejects)
+	}
+}
+
+// TestBusyRejectZeroAlloc holds the busy path to its promise: rejecting
+// a batch — traced request included — allocates nothing once the
+// connection's units are warm.
+func TestBusyRejectZeroAlloc(t *testing.T) {
+	const batchN = 8
+	m, err := shard.NewMap(4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m, WithMaxInflight(1))
+	s.sem <- struct{}{}
+	cs := s.newConnState()
+	round := func() {
+		mkReadBatch(m, cs, batchN)
+		cs.batch[0].span = s.Tracer().Get()
+		s.execRound(cs)
+	}
+	for i := 0; i < outUnits; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("busy-rejected batch: %v allocs/op, want 0", allocs)
+	}
+	if got, want := s.Stats().BusyRejects, uint64((outUnits+201)*batchN); got != want {
+		t.Fatalf("BusyRejects = %d, want %d", got, want)
+	}
+	if got := s.Tracer().Stats().Retired; got != outUnits+201 {
+		t.Fatalf("retired %d spans, want one per round = %d", got, outUnits+201)
+	}
 }
 
 // TestDegradedModeReadOnly drives the durability store into its sticky

@@ -10,9 +10,17 @@
 // grouped by target shard — touching each shard's memory once while it
 // is hot — which reorders responses relative to arrival; the request id
 // in every response frame is what lets clients match them back up. The
-// writer goroutine streams completed responses out and flushes only
-// when its queue runs empty, coalescing many small frames into few
-// syscalls.
+// reader hands each batch's responses to the writer goroutine as one
+// unit in one channel send; the writer streams them out, flushes only
+// when its queue runs empty — coalescing many small frames into few
+// syscalls — and hands the unit back for reuse.
+//
+// Every server is instrumented: it always carries latency histograms
+// (Metrics) and a tracer (internal/trace) that stays idle until a
+// client flags a request or the tracer samples one. A batch passes
+// through named stages — gather/decode, admit, queue, acquire, execute,
+// persist, fsync — and one clock read at each stage boundary feeds both
+// the service-latency histogram and every trace span in the batch.
 //
 // Consistency is exactly the in-process contract: per-key operations
 // are linearizable per shard, UpdateMulti is a cross-shard atomic
@@ -61,13 +69,17 @@ func WithLogf(logf func(format string, args ...any)) Option {
 	return func(s *Server) { s.logf = logf }
 }
 
-// WithTracer attaches a per-request tracing layer (internal/trace).
-// Requests become traced when the client flags them on the wire or the
-// tracer head-samples them (Config.SampleN); everything else pays one
-// branch per request plus one clock read per batch. nil (the default)
-// disables tracing entirely.
+// WithTracer replaces the server's tracer (internal/trace). Requests
+// become traced when the client flags them on the wire or the tracer
+// head-samples them (Config.SampleN); everything else pays one branch
+// per request. The default tracer samples nothing, so it serves only
+// client-flagged requests; nil keeps the default.
 func WithTracer(t *trace.Tracer) Option {
-	return func(s *Server) { s.tracer = t }
+	return func(s *Server) {
+		if t != nil {
+			s.tracer = t
+		}
+	}
 }
 
 // WithPersist attaches a durability store (internal/persist): every
@@ -169,7 +181,8 @@ type Server struct {
 }
 
 // New creates a server over m. The map is shared: in-process callers may
-// keep using it concurrently with remote traffic.
+// keep using it concurrently with remote traffic. Unless the options
+// supply their own, the server builds a Metrics set and an idle tracer.
 func New(m *shard.Map, opts ...Option) *Server {
 	s := &Server{
 		m:        m,
@@ -181,13 +194,20 @@ func New(m *shard.Map, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
+	if s.metrics == nil {
+		s.metrics = NewMetrics(m.N())
+	}
+	if s.tracer == nil {
+		s.tracer = trace.New(trace.Config{})
+	}
 	return s
 }
 
 // Map returns the served map.
 func (s *Server) Map() *shard.Map { return s.m }
 
-// Tracer returns the attached tracer, nil when none.
+// Tracer returns the server's tracer: the one WithTracer installed, or
+// the default idle one.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // ErrClosed is returned by Serve after Close.
@@ -309,9 +329,8 @@ func (s *Server) Close() error {
 
 // Stats returns a point-in-time snapshot of the server counters plus
 // the served map's geometry, folding the striped banks into the wire
-// totals. The latency quantile words are filled from the attached
-// Metrics histograms (zero with observability off) and FsyncP99 from
-// the durability store (zero without one).
+// totals. The latency quantile words are filled from the Service
+// histogram and FsyncP99 from the durability store (zero without one).
 func (s *Server) Stats() wire.ServerStats {
 	var c [numCounters]uint64
 	s.ctrs.Sums(c[:])
@@ -336,12 +355,10 @@ func (s *Server) Stats() wire.ServerStats {
 		IdleCloses:      c[cIdleClosed],
 		DegradedRejects: c[cDegraded],
 	}
-	if s.metrics != nil {
-		snap := s.metrics.Service.Snapshot()
-		st.LatP50 = uint64(snap.Quantile(0.50))
-		st.LatP99 = uint64(snap.Quantile(0.99))
-		st.LatP999 = uint64(snap.Quantile(0.999))
-	}
+	snap := s.metrics.Service.Snapshot()
+	st.LatP50 = uint64(snap.Quantile(0.50))
+	st.LatP99 = uint64(snap.Quantile(0.99))
+	st.LatP999 = uint64(snap.Quantile(0.999))
 	if s.persist != nil {
 		snap := s.persist.SyncHist().Snapshot()
 		st.FsyncP99 = uint64(snap.Quantile(0.99))
@@ -351,26 +368,86 @@ func (s *Server) Stats() wire.ServerStats {
 
 // respDataSoftCap bounds (in words) the Data backing array a recycled
 // response may keep: a rare snapshot-sized response would otherwise pin
-// K×W words in the arena for the connection's lifetime.
+// K×W words in its batch unit for the connection's lifetime.
 const respDataSoftCap = 4096
+
+// outUnits is how many batch units a connection cycles between reader
+// and writer: one filling, the rest queued or being encoded, so the
+// reader runs at most that many batches ahead of a slow peer before it
+// waits for the writer.
+const outUnits = 4
+
+// batchOut is one batch's responses on their way to the writer, handed
+// over in a single channel send. It owns its responses — recycled with
+// the unit, which is why responses cost no allocation in steady state —
+// and the trace span of each traced one, which the writer finishes
+// after the flush that carries it. Malformed-frame answers come first,
+// then the batch's responses in execution order.
+type batchOut struct {
+	items []outItem
+}
+
+type outItem struct {
+	resp wire.Response
+	span *trace.Span // nil unless the request is traced
+}
+
+// add appends a reset response to u and returns it. The pointer is
+// valid until the next add.
+func (u *batchOut) add() *wire.Response {
+	n := len(u.items)
+	if n < cap(u.items) {
+		u.items = u.items[:n+1]
+	} else {
+		u.items = append(u.items, outItem{})
+	}
+	it := &u.items[n]
+	*it = outItem{resp: wire.Response{Data: it.resp.Data[:0], Stages: it.resp.Stages[:0]}}
+	return &it.resp
+}
+
+// Batch clock marks, one per stage boundary in timeline order: clk[m]
+// is the instant the stage named by m ended. The first mark is the
+// batch head's arrival, where the batch's first stage begins.
+const (
+	mArrive  = iota // head frame read
+	mDecode         // gather/decode: the batch's frames decoded
+	mAdmit          // admit: inflight token taken, or the batch rejected
+	mQueue          // queue: degraded verdict and shard sort
+	mAcquire        // acquire: registry slot held
+	mExecute        // execute: operations run, slot released
+	mPersist        // persist: committed updates appended to the log
+	mFsync          // fsync: the group-commit round covering them done
+	numMarks
+)
+
+// spanEnd maps each wire trace stage to the clock mark that closes it;
+// admission counts toward the queue stage.
+var spanEnd = [trace.WireStages]int{mDecode, mQueue, mAcquire, mExecute, mPersist, mFsync}
 
 // connState is one connection's reusable serving state — the reason the
 // hot path is allocation-free in steady state. It holds the decoded
 // batch (whose Request slots recycle their Keys/Args backing arrays),
-// the response arena cycled between the executor and the writer
-// goroutine, the executor's collection slices, the per-batch map handle
-// (re-armed with Reacquire instead of reallocated), and the merge
-// closures pre-bound at connection setup, which would otherwise be
-// allocated per update to capture that request's arguments.
+// the batch units cycled between the reader and the writer goroutine,
+// the executor's collection slices, the per-batch map handle (re-armed
+// with Reacquire instead of reallocated), and the merge closures
+// pre-bound at connection setup, which would otherwise be allocated per
+// update to capture that request's arguments.
 type connState struct {
-	s       *Server
 	h       *shard.MapHandle // lazily acquired, then Reacquire per batch
 	batch   []batchReq
-	resps   []*wire.Response
 	recs    []persist.Record
-	recResp []int               // recs[i] belongs to resps[recResp[i]]
-	free    chan *wire.Response // arena: writer returns, executor takes
-	rows    [][]uint64          // snapshot row scratch over resp.Data
+	recResp []int      // recs[i] belongs to unit.items[recResp[i]]
+	rows    [][]uint64 // snapshot row scratch over resp.Data
+
+	// The writer handoff: unit is the batch unit being filled, out
+	// carries filled units to the writer, free carries them back.
+	unit *batchOut
+	out  chan *batchOut
+	free chan *batchOut
+
+	// clk is the current batch's stage clock (the m* marks).
+	clk [numMarks]time.Time
 
 	// Update/UpdateMulti state read by the pre-bound merge closures.
 	args       []uint64
@@ -382,15 +459,12 @@ type connState struct {
 	mergeMulti func(vals [][]uint64)
 
 	// degraded is the per-batch verdict of the disk-sick check: set once
-	// per batch in executeBatch, read by execute for every update in it.
+	// per batch in runAdmitted, read by execute for every update in it.
 	degraded bool
 
-	// Tracing state. tRead is the batch head's arrival stamp — the one
-	// clock read the untraced path pays per batch when a tracer is
-	// attached. sampleCtr counts toward the next head sample; rng is the
+	// sampleCtr counts toward the next head sample; rng is the
 	// per-connection trace-id generator (splitmix64), contention-free
 	// because it is never shared.
-	tRead     time.Time
 	sampleCtr uint64
 	rng       uint64
 }
@@ -410,14 +484,13 @@ func (cs *connState) nextTraceID() uint64 {
 
 func (s *Server) newConnState() *connState {
 	cs := &connState{
-		s:     s,
 		batch: make([]batchReq, 0, s.maxBatch),
-		resps: make([]*wire.Response, 0, s.maxBatch),
-		// Room for everything in flight at once: the out channel's worth
-		// plus one executing batch, so recycled responses are almost
-		// never dropped.
-		free: make(chan *wire.Response, 5*s.maxBatch),
-		rng:  uint64(time.Now().UnixNano()) ^ connSeed.Add(1)<<32,
+		out:   make(chan *batchOut, outUnits),
+		free:  make(chan *batchOut, outUnits),
+		rng:   uint64(time.Now().UnixNano()) ^ connSeed.Add(1)<<32,
+	}
+	for i := 0; i < outUnits; i++ {
+		cs.free <- &batchOut{}
 	}
 	cs.mergeOne = func(v []uint64) {
 		wire.Merge(v, cs.args, cs.mode)
@@ -438,31 +511,29 @@ func (s *Server) newConnState() *connState {
 	return cs
 }
 
-// getResp takes a recycled response from the arena (or allocates when
-// the arena is dry) and resets it for reuse.
-func (cs *connState) getResp() *wire.Response {
-	select {
-	case r := <-cs.free:
-		r.Status = wire.StatusOK
-		r.Attempts, r.Rows, r.Words = 0, 0, 0
-		r.Data, r.Err = r.Data[:0], ""
-		r.Traced, r.TraceID, r.Stages = false, 0, r.Stages[:0]
-		return r
-	default:
-		return &wire.Response{}
+// recycle returns an encoded unit to the reader. Oversized data backing
+// arrays (snapshots) are dropped first, mirroring wire.ReadFrame's
+// shrink of oversized frame buffers.
+func (cs *connState) recycle(u *batchOut) {
+	for i := range u.items {
+		if cap(u.items[i].resp.Data) > respDataSoftCap {
+			u.items[i].resp.Data = nil
+		}
 	}
+	u.items = u.items[:0]
+	cs.free <- u
 }
 
-// putResp returns an encoded response to the arena. Oversized data
-// backing arrays (snapshots) are dropped first, mirroring
-// wire.ReadFrame's shrink of oversized frame buffers.
-func (cs *connState) putResp(r *wire.Response) {
-	if cap(r.Data) > respDataSoftCap {
-		r.Data = nil
-	}
-	select {
-	case cs.free <- r:
-	default:
+// stamp closes the stage ending at mark m: the batch clock's one read
+// per stage boundary.
+func (cs *connState) stamp(m int) { cs.clk[m] = time.Now() }
+
+// hold closes every stage after mark m at m's instant. Stages a batch
+// skips — persistence with nothing to log, everything after a busy
+// rejection — stay zero-width, so stage sums still equal span totals.
+func (cs *connState) hold(m int) {
+	for i := m + 1; i < numMarks; i++ {
+		cs.clk[i] = cs.clk[m]
 	}
 }
 
@@ -485,19 +556,17 @@ func (s *Server) serveConn(c net.Conn) {
 		c.Close()
 	}()
 
-	// The writer owns the outbound half: it encodes responses arriving on
-	// out and flushes whenever the queue runs dry. Buffered so the reader
-	// can race ahead within a batch.
-	out := make(chan outResp, 4*s.maxBatch)
+	// The writer owns the outbound half: it encodes the batch units the
+	// reader emits and flushes whenever its queue runs dry.
 	cs := s.newConnState()
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.writeLoop(c, out, cs)
+		s.writeLoop(c, cs)
 	}()
-	s.readLoop(c, out, cs)
-	close(out)
+	s.readLoop(c, cs)
+	close(cs.out)
 	writerWG.Wait()
 }
 
@@ -506,22 +575,15 @@ func (s *Server) serveConn(c net.Conn) {
 // small-op responses, far below the 256 KiB coalescing bound.
 const writeBufCap = 64 << 10
 
-// outResp is one completed response on its way to the writer, paired
-// with its trace span when the request was traced (nil otherwise). The
-// span travels with the response because its final stage — writer
-// coalesce + flush — only closes after the write that carries it.
-type outResp struct {
-	resp *wire.Response
-	span *trace.Span
-}
-
-// writeLoop encodes responses and writes them with frame coalescing: it
-// keeps appending frames to one buffer while more responses are queued
-// and hands the kernel a single write when the queue is empty. Encoded
-// responses return to the connection's arena; trace spans finish (flush
-// stage + total) after the write that put them on the wire and retire
-// into the tracer's rings.
-func (s *Server) writeLoop(c net.Conn, out <-chan outResp, cs *connState) {
+// writeLoop encodes batch units and writes them with frame coalescing:
+// it keeps appending units to one buffer while more are queued and
+// hands the kernel a single write when the queue is empty. Each unit
+// returns to the reader as soon as it is encoded; its trace spans
+// finish (flush stage + total) after the write that put them on the
+// wire and retire into the tracer's rings. After a failed write the
+// loop keeps draining, so the reader never waits on a dead connection,
+// and the spans still in flight retire marked Err.
+func (s *Server) writeLoop(c net.Conn, cs *connState) {
 	buf := make([]byte, 0, writeBufCap)
 	payload := make([]byte, 0, 4<<10)
 	var spans []*trace.Span // spans riding in buf, finished at its flush
@@ -545,65 +607,39 @@ func (s *Server) writeLoop(c net.Conn, out <-chan outResp, cs *connState) {
 		}
 		return err
 	}
-	finish := func(failed bool) {
-		if len(spans) == 0 {
-			return
-		}
-		now := time.Now()
-		for _, sp := range spans {
-			if failed {
-				sp.Err = true
+	encode := func(u *batchOut) {
+		for i := range u.items {
+			it := &u.items[i]
+			payload = wire.AppendResponse(payload[:0], &it.resp)
+			buf = wire.AppendFrame(buf, payload)
+			if it.span != nil {
+				spans = append(spans, it.span)
 			}
-			sp.Finish(now)
-			s.tracer.Retire(sp)
 		}
-		spans = spans[:0]
+		cs.recycle(u)
 	}
-	for or := range out {
-		payload = wire.AppendResponse(payload[:0], or.resp)
-		cs.putResp(or.resp)
-		if or.span != nil {
-			spans = append(spans, or.span)
-		}
-		buf = wire.AppendFrame(buf[:0], payload)
+	var werr error
+	for u := range cs.out {
+		buf = buf[:0]
+		encode(u)
 		// Coalesce whatever else is already queued.
+	coalesce:
 		for len(buf) < 256<<10 {
 			select {
-			case next, ok := <-out:
+			case next, ok := <-cs.out:
 				if !ok {
-					if write(buf) != nil {
-						finish(true)
-						return
-					}
-					finish(false)
-					return
+					break coalesce
 				}
-				payload = wire.AppendResponse(payload[:0], next.resp)
-				cs.putResp(next.resp)
-				if next.span != nil {
-					spans = append(spans, next.span)
-				}
-				buf = wire.AppendFrame(buf, payload)
+				encode(next)
 			default:
-				goto flush
+				break coalesce
 			}
 		}
-	flush:
-		if write(buf) != nil {
-			finish(true)
-			// Drain so the reader never blocks on a dead connection;
-			// in-flight spans still retire (marked Err) so they are not
-			// lost from the free list.
-			for or := range out {
-				if or.span != nil {
-					or.span.Err = true
-					or.span.Finish(time.Now())
-					s.tracer.Retire(or.span)
-				}
-			}
-			return
+		if werr == nil {
+			werr = write(buf)
 		}
-		finish(false)
+		s.finishSpans(spans, werr != nil)
+		spans = spans[:0]
 		// A snapshot-sized response grows these past any steady-state
 		// need; release the oversized arrays instead of pinning them.
 		if cap(buf) > 4*writeBufCap {
@@ -612,6 +648,20 @@ func (s *Server) writeLoop(c net.Conn, out <-chan outResp, cs *connState) {
 		if cap(payload) > 4*writeBufCap {
 			payload = make([]byte, 0, 4<<10)
 		}
+	}
+}
+
+// finishSpans closes the flush stage of every span one write carried
+// and retires them; failed marks them Err (their responses never left).
+func (s *Server) finishSpans(spans []*trace.Span, failed bool) {
+	if len(spans) == 0 {
+		return
+	}
+	now := time.Now()
+	for _, sp := range spans {
+		sp.Err = sp.Err || failed
+		sp.Finish(now)
+		s.tracer.Retire(sp)
 	}
 }
 
@@ -626,10 +676,15 @@ type batchReq struct {
 
 // readLoop decodes frames into batches and executes them. It returns on
 // any read or protocol error (the connection is then closed).
-func (s *Server) readLoop(c net.Conn, out chan<- outResp, cs *connState) {
+func (s *Server) readLoop(c net.Conn, cs *connState) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	var frame []byte
 	for {
+		// Take the next batch's unit first. Waiting here is the
+		// backpressure of a peer that does not drain its responses, and
+		// waiting now — never after Acquire — keeps a stalled connection
+		// from pinning a registry slot.
+		cs.unit = <-cs.free
 		// Block for the head of the next batch, for at most the idle
 		// timeout when one is set. Re-arming before each head read means
 		// the deadline also covers a peer that stalls mid-frame; the
@@ -648,27 +703,23 @@ func (s *Server) readLoop(c net.Conn, out chan<- outResp, cs *connState) {
 			}
 			return
 		}
-		if s.tracer != nil {
-			// The batch head's arrival anchors every span in the batch;
-			// stamping it here (after the blocking read, before decode) is
-			// tracing's only per-batch cost on the untraced path.
-			cs.tRead = time.Now()
-		}
+		cs.stamp(mArrive)
 		cs.batch = cs.batch[:0]
-		frame = s.appendDecoded(cs, frame, out)
+		frame = s.appendDecoded(cs, frame)
 		// Drain requests that already arrived, without blocking: only
 		// frames whose payload is fully buffered are taken — a partially
 		// arrived frame would block ReadFrame mid-batch on a slow peer
 		// while the already-gathered batch sat waiting.
 		for len(cs.batch) < s.maxBatch && frameBuffered(br) {
-			frame, err = wire.ReadFrame(br, frame)
-			if err != nil {
-				s.executeBatch(cs, out)
-				return
+			if frame, err = wire.ReadFrame(br, frame); err != nil {
+				break
 			}
-			frame = s.appendDecoded(cs, frame, out)
+			frame = s.appendDecoded(cs, frame)
 		}
-		s.executeBatch(cs, out)
+		s.executeBatch(cs)
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -691,11 +742,12 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= 4+int(n)
 }
 
-// appendDecoded decodes frame into a new batch slot; malformed requests
-// are answered immediately with StatusBadRequest and not batched. For
-// wire-flagged or head-sampled requests it also draws the trace span the
-// batch executor will stamp.
-func (s *Server) appendDecoded(cs *connState, frame []byte, out chan<- outResp) []byte {
+// appendDecoded decodes frame into a new batch slot. A malformed request
+// is not batched: its StatusBadRequest answer goes into the batch's
+// unit ahead of the batch's own responses. For wire-flagged or
+// head-sampled requests it also draws the trace span the batch clock
+// will fill.
+func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 	// Reslice over a recycled slot when possible: DecodeRequest resets
 	// every field and reuses the slot's Keys/Args backing arrays, which
 	// is where the per-request allocations would otherwise be.
@@ -711,20 +763,17 @@ func (s *Server) appendDecoded(cs *connState, frame []byte, out chan<- outResp) 
 		s.ctrs.Inc(0, cBadReqs)
 		// A frame too mangled to carry an id gets id 0; the client will
 		// drop it but the stream stays framed.
-		resp := cs.getResp()
+		resp := cs.unit.add()
 		resp.ID, resp.Status, resp.Err = br.req.ID, wire.StatusBadRequest, err.Error()
-		out <- outResp{resp: resp}
 		cs.batch = batch[:len(batch)-1]
 		return frame
 	}
-	if tr := s.tracer; tr != nil {
-		if br.req.Traced {
-			br.span = tr.Get() // nil when the free list is dry: serve untraced
-		} else if n := tr.SampleN(); n > 0 {
-			if cs.sampleCtr++; cs.sampleCtr >= n {
-				cs.sampleCtr = 0
-				br.span = tr.Get()
-			}
+	if br.req.Traced {
+		br.span = s.tracer.Get() // nil when the free list is dry: serve untraced
+	} else if n := s.tracer.SampleN(); n > 0 {
+		if cs.sampleCtr++; cs.sampleCtr >= n {
+			cs.sampleCtr = 0
+			br.span = s.tracer.Get()
 		}
 	}
 	switch br.req.Op {
@@ -737,8 +786,62 @@ func (s *Server) appendDecoded(cs *connState, frame []byte, out chan<- outResp) 
 	return frame
 }
 
-// executeBatch runs a batch through one acquired handle: single-key
-// operations grouped by shard, everything else in arrival order.
+// executeBatch runs the gathered batch through its stages — admit, then
+// queue, acquire, execute, persist and fsync for an admitted batch —
+// stamping the batch clock at each boundary, and emits the batch's unit
+// to the writer. The Service histogram and every traced span read the
+// same clock: each stage window is shared by the whole batch, which
+// also makes every span's stage sum equal its total by construction.
+//
+// Responses are collected in the unit and emitted only after the handle
+// is released: the out channel can fill when the peer stops reading its
+// responses, and blocking on it while holding a registry slot would let
+// one non-reading connection pin a process id that every other
+// connection (and in-process callers) may be waiting for.
+func (s *Server) executeBatch(cs *connState) {
+	if n := len(cs.batch); n > 0 {
+		base := len(cs.unit.items) // malformed-frame answers go first
+		cs.stamp(mDecode)
+		// Admission: try to take an inflight token before committing any
+		// resources to the batch. No token means the server is already
+		// executing its configured maximum — reject the whole batch with
+		// StatusBusy now, in microseconds, rather than queue it behind
+		// work that is itself queued. The non-blocking send is the entire
+		// cost on the admitted path.
+		admitted := true
+		if s.sem != nil {
+			select {
+			case s.sem <- struct{}{}:
+			default:
+				admitted = false
+			}
+		}
+		cs.stamp(mAdmit)
+		if admitted {
+			p := s.runAdmitted(cs, base)
+			// The admission token covers slot acquisition through
+			// durability — the stages whose concurrency overload actually
+			// multiplies.
+			if s.sem != nil {
+				<-s.sem
+			}
+			s.metrics.Service.ObserveN(p, uint64(cs.clk[mFsync].Sub(cs.clk[mDecode])), uint64(n))
+			s.metrics.Batch.Observe(p, uint64(n))
+		} else {
+			s.rejectBusy(cs)
+			cs.hold(mAdmit)
+		}
+		cs.fillSpans(base)
+	}
+	cs.out <- cs.unit
+	cs.unit = nil
+}
+
+// runAdmitted runs an admitted batch's queue, acquire, execute, persist
+// and fsync stages through one acquired handle — single-key operations
+// grouped by shard, everything else in arrival order — appending its
+// responses to the unit after index base. It returns the counter stripe
+// the batch ran on.
 //
 // Grouping must not reorder operations whose effects could be observed
 // in issue order by the issuing client: two single-key ops on the same
@@ -747,53 +850,12 @@ func (s *Server) appendDecoded(cs *connState, frame []byte, out chan<- outResp) 
 // barrier — only the runs of single-key ops *between* barriers are
 // shard-sorted. Without the barrier, an Update(k) pipelined before an
 // UpdateMulti([k,...]) would execute after it.
-//
-// Responses are collected locally and emitted only after the handle is
-// released: the out channel can fill when the peer stops reading its
-// responses, and blocking on it while holding a registry slot would let
-// one non-reading connection pin a process id that every other
-// connection (and in-process callers) may be waiting for.
-func (s *Server) executeBatch(cs *connState, out chan<- outResp) {
+func (s *Server) runAdmitted(cs *connState, base int) int {
 	batch := cs.batch
-	if len(batch) == 0 {
-		return
-	}
-	// Admission: try to take an inflight token before committing any
-	// resources to the batch. No token means the server is already
-	// executing its configured maximum — reject the whole batch with
-	// StatusBusy now, in microseconds, rather than queue it behind work
-	// that is itself queued. The non-blocking send is the entire cost on
-	// the admitted path.
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.rejectBusy(cs, out)
-			return
-		}
-	}
 	// Degraded mode is decided once per batch: the store's sick flag is
 	// a single atomic load, and every update in the batch sees the same
 	// verdict.
 	cs.degraded = s.degrade && s.persist != nil && s.persist.Sick()
-	// One branch decides whether this batch pays for stage stamping:
-	// every timestamp below is taken once per batch and attributed to
-	// every traced span in it (the same batch-window attribution the
-	// Metrics histograms use), which also makes each span's stage sum
-	// equal its total by construction.
-	traced := false
-	if s.tracer != nil {
-		for i := range batch {
-			if batch[i].span != nil {
-				traced = true
-				break
-			}
-		}
-	}
-	var t0 time.Time
-	if s.metrics != nil || traced {
-		t0 = time.Now() // end of decode: frames read + batch gathered
-	}
 	for lo := 0; lo < len(batch); {
 		if batch[lo].shardI < 0 {
 			lo++
@@ -806,137 +868,106 @@ func (s *Server) executeBatch(cs *connState, out chan<- outResp) {
 		sortRunByShard(batch[lo:hi])
 		lo = hi
 	}
-	cs.resps = cs.resps[:0]
-	cs.recs = cs.recs[:0]
-	cs.recResp = cs.recResp[:0]
-	var tQueue time.Time
-	if traced {
-		tQueue = time.Now() // sort + queue wait over, acquire begins
-	}
+	cs.stamp(mQueue)
+
 	if cs.h == nil {
 		cs.h = s.m.Acquire()
 	} else {
 		cs.h.Reacquire()
 	}
 	h := cs.h
-	var tAcquire time.Time
-	if traced {
-		tAcquire = time.Now()
-	}
+	cs.stamp(mAcquire)
+
 	// Stats stripe for everything this batch does: the registry slot we
 	// just acquired. Another executor necessarily holds a different slot
 	// and therefore writes different cache lines.
 	p := h.Process()
 	s.ctrs.Inc(p, cBatches)
 	s.ctrs.Add(p, cReqs, uint64(len(batch)))
+	cs.recs, cs.recResp = cs.recs[:0], cs.recResp[:0]
 	for i := range batch {
 		var rec *persist.Record
 		if s.persist != nil {
 			cs.recs = append(cs.recs, persist.Record{})
 			rec = &cs.recs[len(cs.recs)-1]
 		}
-		resp := cs.getResp()
-		s.execute(cs, h, p, &batch[i].req, rec, resp)
+		s.execute(cs, h, p, &batch[i].req, rec, cs.unit.add())
 		if rec != nil {
 			if rec.Op == 0 { // not a committed update; nothing to log
 				cs.recs = cs.recs[:len(cs.recs)-1]
 			} else {
-				cs.recResp = append(cs.recResp, len(cs.resps))
+				cs.recResp = append(cs.recResp, base+i)
 			}
 		}
-		cs.resps = append(cs.resps, resp)
 	}
 	h.Release()
-	var tExecute time.Time
-	if traced {
-		tExecute = time.Now()
-	}
-	tPersist, tFsync := tExecute, tExecute // stay zero-width without persistence
+	cs.stamp(mExecute)
+
 	// Durability happens here: after execution, outside the registry
 	// slot, before the responses flush. The record slices alias the
 	// batch's decode buffers, which stay untouched until the next batch.
-	if len(cs.recs) > 0 {
-		err := s.persist.Append(cs.recs)
-		if traced {
-			tPersist = time.Now()
-			tFsync = tPersist
-		}
-		if err == nil && s.persist.Policy() == persist.SyncAlways {
-			err = s.persist.Sync()
-			if traced {
-				tFsync = time.Now()
-			}
-		}
-		if err != nil {
-			s.logf("server: persistence: %v", err)
-			s.ctrs.Inc(p, cPersistErrs)
-			if s.persist.Policy() == persist.SyncAlways {
-				// The in-memory commit stands, but the durability the
-				// policy promises does not — fail the acknowledgment
-				// rather than lie about it. The conversions count as
-				// BadReqs so the drift is visible in the stats.
-				s.ctrs.Add(p, cBadReqs, uint64(len(cs.recResp)))
-				for _, ri := range cs.recResp {
-					r := cs.resps[ri]
-					r.Status = wire.StatusBadRequest
-					r.Err = fmt.Sprintf("persistence failure: %v", err)
-					r.Attempts, r.Rows, r.Words = 0, 0, 0
-					r.Data = r.Data[:0]
-				}
-			}
-		}
+	if len(cs.recs) == 0 {
+		cs.hold(mExecute)
+		return p
 	}
-	// The admission token covers slot acquisition through durability —
-	// the stages whose concurrency overload actually multiplies; the
-	// stamping and emit below are per-connection bookkeeping.
-	if s.sem != nil {
-		<-s.sem
+	err := s.persist.Append(cs.recs)
+	cs.stamp(mPersist)
+	if err == nil && s.persist.Policy() == persist.SyncAlways {
+		err = s.persist.Sync()
+		cs.stamp(mFsync)
+	} else {
+		cs.hold(mPersist)
 	}
-	if s.metrics != nil {
-		// One timestamp pair per batch: the whole execute+persist window,
-		// attributed to every request in it. Under SyncAlways this is the
-		// client-visible service time minus queueing and wire transfer.
-		d := uint64(time.Since(t0))
-		s.metrics.Service.ObserveN(p, d, uint64(len(batch)))
-		s.metrics.Batch.Observe(p, uint64(len(batch)))
-	}
-	if traced {
-		// Stamp every traced span with the batch's stage windows and echo
-		// the breakdown on wire-flagged requests' responses. The flush
-		// stage and the total close in the writer, after the write that
-		// carries the response out.
-		for i := range batch {
-			sp := batch[i].span
-			if sp == nil {
-				continue
-			}
-			req, resp := &batch[i].req, cs.resps[i]
-			sp.Begin(cs.tRead)
-			sp.Stamp(trace.StageDecode, t0)
-			sp.Stamp(trace.StageQueue, tQueue)
-			sp.Stamp(trace.StageAcquire, tAcquire)
-			sp.Stamp(trace.StageExecute, tExecute)
-			sp.Stamp(trace.StagePersist, tPersist)
-			sp.Stamp(trace.StageFsync, tFsync)
-			sp.Op = uint8(req.Op)
-			sp.Key = req.Key
-			sp.Attempts = resp.Attempts
-			sp.Batch = uint32(len(batch))
-			sp.Err = resp.Status != wire.StatusOK
-			if req.Traced {
-				sp.TraceID = req.TraceID
-				if resp.Status == wire.StatusOK {
-					resp.Traced, resp.TraceID = true, sp.TraceID
-					resp.Stages = append(resp.Stages[:0], sp.Stages[:trace.WireStages]...)
-				}
-			} else {
-				sp.Sampled = true
-				sp.TraceID = cs.nextTraceID()
+	if err != nil {
+		s.logf("server: persistence: %v", err)
+		s.ctrs.Inc(p, cPersistErrs)
+		if s.persist.Policy() == persist.SyncAlways {
+			// The in-memory commit stands, but the durability the policy
+			// promises does not — fail the acknowledgment rather than lie
+			// about it. The conversions count as BadReqs so the drift is
+			// visible in the stats.
+			s.ctrs.Add(p, cBadReqs, uint64(len(cs.recResp)))
+			for _, ri := range cs.recResp {
+				r := &cs.unit.items[ri].resp
+				r.Status = wire.StatusBadRequest
+				r.Err = fmt.Sprintf("persistence failure: %v", err)
+				r.Attempts, r.Rows, r.Words = 0, 0, 0
+				r.Data = r.Data[:0]
 			}
 		}
 	}
-	for i, resp := range cs.resps {
-		out <- outResp{resp: resp, span: batch[i].span}
+	return p
+}
+
+// fillSpans fills every traced span of the batch — admitted or busy —
+// from the batch clock, records the request's outcome, echoes the
+// stage breakdown on wire-flagged OK responses, and moves the span into
+// the unit beside its response (index base+i) for the writer to finish.
+func (cs *connState) fillSpans(base int) {
+	for i := range cs.batch {
+		sp := cs.batch[i].span
+		if sp == nil {
+			continue
+		}
+		req, it := &cs.batch[i].req, &cs.unit.items[base+i]
+		sp.Begin(cs.clk[mArrive])
+		for st, m := range spanEnd {
+			sp.Stamp(trace.Stage(st), cs.clk[m])
+		}
+		sp.Op, sp.Key = uint8(req.Op), req.Key
+		sp.Attempts, sp.Batch = it.resp.Attempts, uint32(len(cs.batch))
+		sp.Err = it.resp.Status != wire.StatusOK
+		if req.Traced {
+			sp.TraceID = req.TraceID
+			if !sp.Err {
+				it.resp.Traced, it.resp.TraceID = true, sp.TraceID
+				it.resp.Stages = append(it.resp.Stages, sp.Stages[:trace.WireStages]...)
+			}
+		} else {
+			sp.Sampled = true
+			sp.TraceID = cs.nextTraceID()
+		}
+		it.span = sp
 	}
 }
 
@@ -952,32 +983,15 @@ const (
 // StatusBusy — the server's explicit promise that none of them reached
 // the map, which is what lets clients safely retry even updates. It
 // runs with no registry slot in hand, so counting uses stripe 0 (like
-// the other no-slot paths); traced requests still produce spans so an
-// overloaded server remains observable through /tracez.
-func (s *Server) rejectBusy(cs *connState, out chan<- outResp) {
-	batch := cs.batch
-	s.ctrs.Add(0, cBusy, uint64(len(batch)))
-	s.ctrs.Add(0, cBadReqs, uint64(len(batch)))
-	for i := range batch {
-		req := &batch[i].req
-		resp := cs.getResp()
-		resp.ID = req.ID
-		resp.Status = wire.StatusBusy
-		resp.Err = busyMsg
-		if sp := batch[i].span; sp != nil {
-			sp.Begin(cs.tRead) // resets the span; set fields after
-			sp.Op = uint8(req.Op)
-			sp.Key = req.Key
-			sp.Batch = uint32(len(batch))
-			sp.Err = true
-			if req.Traced {
-				sp.TraceID = req.TraceID
-			} else {
-				sp.Sampled = true
-				sp.TraceID = cs.nextTraceID()
-			}
-		}
-		out <- outResp{resp: resp, span: batch[i].span}
+// the other no-slot paths); traced requests still get spans from
+// fillSpans, so an overloaded server remains observable through /tracez.
+func (s *Server) rejectBusy(cs *connState) {
+	n := uint64(len(cs.batch))
+	s.ctrs.Add(0, cBusy, n)
+	s.ctrs.Add(0, cBadReqs, n)
+	for i := range cs.batch {
+		resp := cs.unit.add()
+		resp.ID, resp.Status, resp.Err = cs.batch[i].req.ID, wire.StatusBusy, busyMsg
 	}
 }
 
@@ -1024,8 +1038,8 @@ func (s *Server) Checkpoint() error {
 	})
 }
 
-// execute runs one request, filling resp (an arena response reset by
-// getResp). When persistence is on, rec is a scratch Record the durable
+// execute runs one request, filling resp (a unit response reset by
+// batchOut.add). When persistence is on, rec is a scratch Record the durable
 // ops fill in — Seq is drawn inside the merge callback, whose final
 // (committing) run leaves the number that orders the record against
 // every other committed update on its shards; rec.Op stays 0 for
@@ -1059,9 +1073,7 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 		resp.Rows, resp.Words = 1, uint32(w)
 		cs.args, cs.mode, cs.dst, cs.rec = req.Args, req.Mode, sizedData(resp, w), rec
 		resp.Attempts = uint32(h.Update(req.Key, cs.mergeOne))
-		if s.metrics != nil {
-			s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
-		}
+		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
 		if rec != nil {
 			rec.Op, rec.Mode, rec.Key, rec.Args = wire.OpUpdate, req.Mode, req.Key, req.Args
 			rec.Shard = s.m.ShardIndex(req.Key)
@@ -1111,9 +1123,7 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 		resp.Rows, resp.Words = uint32(nk), uint32(w)
 		cs.args, cs.mode, cs.dst, cs.rec, cs.w = req.Args, req.Mode, sizedData(resp, nk*w), rec, w
 		resp.Attempts = uint32(h.UpdateMulti(req.Keys, cs.mergeMulti))
-		if s.metrics != nil {
-			s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
-		}
+		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
 		if rec != nil {
 			rec.Op, rec.Mode, rec.Keys, rec.Args = wire.OpUpdateMulti, req.Mode, req.Keys, req.Args
 			rec.Shard = s.m.ShardIndex(req.Keys[0])

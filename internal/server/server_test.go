@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"mwllsc/internal/client"
+	"mwllsc/internal/obs"
 	"mwllsc/internal/server"
 	"mwllsc/internal/shard"
+	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
@@ -416,6 +418,56 @@ func TestPerKeyOrderPreserved(t *testing.T) {
 		// set-then-add): anything else means an op was lost or doubled.
 		if v[0] != 100 && v[0] != 101 {
 			t.Fatalf("round %d: value %d, want 100 or 101", round, v[0])
+		}
+	}
+}
+
+// TestNoOptionsServerInstrumented: a server built with no options is
+// fully instrumented — there is no configuration without latency
+// histograms or a tracer. It answers with service-latency quantiles,
+// echoes the stage breakdown of a client-flagged request, and exports
+// both surfaces through RegisterMetrics.
+func TestNoOptionsServerInstrumented(t *testing.T) {
+	s := newServer(t, 4, 3, 2)
+	if s.Metrics() == nil || s.Tracer() == nil {
+		t.Fatalf("Metrics() = %v, Tracer() = %v; want both non-nil", s.Metrics(), s.Tracer())
+	}
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	defer s.Close()
+	c, err := client.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for i := 0; i < 16; i++ {
+		if _, err := c.Add(ctx, uint64(i), []uint64{1, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.LatP50 == 0 {
+		t.Fatalf("Stats().LatP50 = 0 after traffic: %+v", st)
+	}
+	var ct client.Trace
+	if _, err := c.Read(client.WithTrace(ctx, &ct), 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(ct.ServerStages) != trace.WireStages {
+		t.Fatalf("server echoed %d stages, want %d", len(ct.ServerStages), trace.WireStages)
+	}
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"llscd_request_latency_seconds", "llscd_trace_spans_total"} {
+		if !strings.Contains(out.String(), name) {
+			t.Errorf("RegisterMetrics does not export %s", name)
 		}
 	}
 }

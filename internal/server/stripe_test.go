@@ -43,17 +43,13 @@ func TestExecuteBatchCountsOnHeldSlotStripe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(m, WithMetrics(NewMetrics(m.N())))
+	s := New(m)
 	if got := s.ctrs.Stripes(); got != m.N() {
 		t.Fatalf("counter stripes = %d, want one per registry slot = %d", got, m.N())
 	}
 	cs := s.newConnState()
-	out := make(chan outResp, 2*batchN)
 	mkReadBatch(m, cs, batchN)
-	s.executeBatch(cs, out)
-	for i := 0; i < batchN; i++ {
-		cs.putResp((<-out).resp)
-	}
+	s.execRound(cs)
 	p := cs.h.Process()
 	for st := 0; st < s.ctrs.Stripes(); st++ {
 		wantReqs, wantBatches := uint64(0), uint64(0)
@@ -91,20 +87,16 @@ func TestCounterStripingUnderParallelLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(m, WithMetrics(NewMetrics(m.N())))
+	s := New(m)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			cs := s.newConnState()
-			out := make(chan outResp, 2*batchN)
 			for r := 0; r < rounds; r++ {
 				mkReadBatch(m, cs, batchN)
-				s.executeBatch(cs, out)
-				for i := 0; i < batchN; i++ {
-					cs.putResp((<-out).resp)
-				}
+				s.execRound(cs)
 			}
 		}()
 	}

@@ -15,8 +15,9 @@
 //
 // The design constraint is the same one that shaped the serving path
 // and the obs layer: the *untraced* path must stay allocation-free and
-// within the E15 overhead budget. Everything per-request is gated on
-// one branch; spans are preallocated and recycled; retirement copies
+// cost no more than the E15 experiment shows. The stage timestamps come
+// from the server's per-batch stage clock, which the latency histograms
+// read anyway; everything per-request is gated on one branch; spans are preallocated and recycled; retirement copies
 // the span into fixed rings of atomic words (no locks on the recent
 // ring, a short mutex on the rare slow-candidate path) so concurrent
 // /tracez and /slowz readers race nothing.

@@ -589,20 +589,20 @@ type ServerStats struct {
 	// degraded — alert on it.
 	PersistErrs uint64
 	// LatP50/LatP99/LatP999 are server-side service-latency quantiles in
-	// nanoseconds (the batch-execute window: handle acquisition through
-	// durability, attributed to every request in the batch), estimated
-	// from the server's log-bucketed histogram. Zero when the server
-	// predates them or runs with observability off. Like PersistErrs,
-	// they ride as optional trailing words: old clients ignore them, new
-	// clients read zeros from old servers.
+	// nanoseconds (the batch window from decode end through durability,
+	// attributed to every request in the batch), estimated from the
+	// server's log-bucketed histogram. Every current server fills them;
+	// they are zero only from servers that predate them. Like
+	// PersistErrs, they ride as optional trailing words: old clients
+	// ignore them, new clients read zeros from old servers.
 	LatP50  uint64
 	LatP99  uint64
 	LatP999 uint64
 	// FsyncP99 is the p99 group-commit fsync latency in nanoseconds,
 	// zero when the server runs without a durability store.
 	FsyncP99 uint64
-	// Overload-control counters (optional words 17-21), zero on servers
-	// that predate them or run with the limits off:
+	// Overload-control counters (optional words 17-21, counted from 0),
+	// zero on servers that predate them or run with the limits off:
 	//
 	// ShedConns counts connections closed at accept because -max-conns
 	// was reached; BusyRejects counts requests answered StatusBusy by the
@@ -618,13 +618,13 @@ type ServerStats struct {
 	DegradedRejects uint64
 }
 
-// statsWords is the minimum wire width of ServerStats; PersistErrs
-// rides as an optional 13th word, the latency quantiles
-// (LatP50/LatP99/LatP999/FsyncP99) as optional words 14-17, and the
-// overload-control counters (ShedConns/BusyRejects/Evictions/
-// IdleCloses/DegradedRejects) as optional words 17-21, so new clients
-// still decode rows from older servers (and, per the tolerant-decode
-// rule above, vice versa).
+// statsWords is the minimum wire width of ServerStats. Numbering words
+// from 0 as docs/WIRE.md does, PersistErrs rides as optional word 12,
+// the latency quantiles (LatP50/LatP99/LatP999/FsyncP99) as optional
+// words 13-16, and the overload-control counters (ShedConns/
+// BusyRejects/Evictions/IdleCloses/DegradedRejects) as optional words
+// 17-21, so new clients still decode rows from older servers (and, per
+// the tolerant-decode rule above, vice versa).
 const statsWords = 12
 
 // Append encodes s in field order.
