@@ -127,7 +127,7 @@
 // # Durability
 //
 // Run cmd/llscd with -dir and the map survives restarts: every
-// committed remote update is appended to a per-shard append-only log
+// committed remote update is appended to one append-only log
 // (internal/persist) after it commits in memory and before its response
 // is flushed, and startup recovers the latest checkpoint plus a
 // commit-ordered log replay. Because remote updates are declarative
@@ -141,11 +141,13 @@
 // acknowledged write is ever lost — not even to SIGKILL or power loss;
 // "everysec" bounds machine-crash loss to about a second; "none" leaves
 // flushing to the OS. Under every policy a *process* crash loses no
-// acknowledged write, recovery repairs torn log tails (truncate at the
-// first CRC failure) and never invents writes, and the recovered map is
-// a state the live map actually passed through — per-key
-// linearizability and cross-shard transaction atomicity carry over to
-// what a restart observes. Checkpoints are cross-shard-atomic
+// acknowledged write, and recovery repairs torn log tails (truncate at
+// the first CRC failure) and never invents writes. After a machine
+// crash, each key's recovered value is one it passed through when a
+// single connection issued its updates; with several connections a
+// committed but unacknowledged update can be missing while a later one
+// on its shard survives (docs/OPERATIONS.md states the exact contract).
+// Checkpoints are cross-shard-atomic
 // (SnapshotAtomic through an identity transaction) with a sequence
 // watermark, rewritten atomically, and safe against a crash at any
 // step. Operational details — flags, per-policy guarantees, sizing,

@@ -4,7 +4,8 @@
 // connection resets; a loopback TCP proxy that applies those faults to
 // live traffic between a real client and a real server; and an
 // error-injecting file layer (short writes, fsync failures,
-// fail-after-N-bytes) that plugs into internal/persist via
+// fail-after-N-bytes, power loss that drops or tears each file's
+// unsynced suffix) that plugs into internal/persist via
 // persist.Options.OpenLog.
 //
 // Everything is driven by explicit counters and a splitmix64 generator

@@ -249,6 +249,63 @@ func TestFilesFsyncBudget(t *testing.T) {
 	}
 }
 
+func TestFilesPowerLoss(t *testing.T) {
+	// lose runs the same script against a fresh directory: two files,
+	// one synced once and written on, one never synced; then the power
+	// goes. It returns the two files' lengths after the cut.
+	lose := func(tear bool) (int64, int64) {
+		dir := t.TempDir()
+		ff := NewFiles(FilesConfig{Seed: 3})
+		a, err := ff.Open(filepath.Join(dir, "a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		b, err := ff.Open(filepath.Join(dir, "b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		chunk := make([]byte, 100)
+		a.Write(chunk)
+		if err := a.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		a.Write(chunk)
+		b.Write(chunk)
+		if ff.Syncs() != 1 {
+			t.Fatalf("Syncs() = %d, want 1", ff.Syncs())
+		}
+		if err := ff.PowerLoss(tear); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := a.Write(chunk); n != 0 || !errors.Is(err, ErrInjected) {
+			t.Fatalf("write after power loss: n=%d err=%v; want refusal", n, err)
+		}
+		if err := a.Sync(); !errors.Is(err, ErrInjected) {
+			t.Fatalf("sync after power loss: %v; want ErrInjected", err)
+		}
+		size := func(name string) int64 {
+			fi, err := os.Stat(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fi.Size()
+		}
+		return size("a"), size("b")
+	}
+	if a, b := lose(false); a != 100 || b != 0 {
+		t.Fatalf("clean power loss left %d and %d bytes, want the synced 100 and 0", a, b)
+	}
+	a, b := lose(true)
+	if a < 100 || a > 200 || b < 0 || b > 100 {
+		t.Fatalf("torn power loss left %d and %d bytes, want a synced prefix plus part of the rest", a, b)
+	}
+	if a2, b2 := lose(true); a2 != a || b2 != b {
+		t.Fatalf("torn power loss is not seeded: %d/%d then %d/%d", a, b, a2, b2)
+	}
+}
+
 // echoServer accepts and echoes until its listener closes.
 func echoServer(t *testing.T) string {
 	t.Helper()

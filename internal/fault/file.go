@@ -9,9 +9,9 @@ import (
 
 // FilesConfig configures an error-injecting file layer for the
 // persistence log. Counters are shared across every file opened by the
-// same Files, so "fail after N bytes" means N bytes across all shard
-// logs together — matching how a sick disk fails the whole store, not
-// one file. The zero value injects nothing.
+// same Files, so "fail after N bytes" means N bytes across every log
+// segment together — matching how a sick disk fails the whole store,
+// not one file. The zero value injects nothing.
 type FilesConfig struct {
 	// Seed drives the short-write truncation points.
 	Seed uint64
@@ -60,6 +60,8 @@ type Files struct {
 	syncs    int64
 	injected int64
 	diskFree time.Time // WriteBytesPerSec pacing: when the modeled disk next idles
+	files    []*File   // every file opened, for PowerLoss
+	lost     bool      // PowerLoss has run: every later Write and Sync fails
 }
 
 // NewFiles builds the shared injection state for one store.
@@ -75,20 +77,66 @@ func (fs *Files) Injected() int64 {
 	return fs.injected
 }
 
+// Syncs returns how many Syncs reached the disk across all files (those
+// failed by FailFsyncAfter or a power loss before they started are not
+// counted).
+func (fs *Files) Syncs() int64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.syncs
+}
+
+// PowerLoss simulates a machine crash. Every file this Files opened is
+// cut back to its length at its last successful Sync — or, with tear,
+// to a seeded point inside its unsynced suffix, as if the disk had
+// persisted only part of it — and every later Write and Sync fails. A
+// Sync that is still in flight when the power goes fails too, so no
+// caller ever sees success for bytes the cut removed.
+func (fs *Files) PowerLoss(tear bool) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.lost = true
+	for _, f := range fs.files {
+		keep := f.synced
+		if tear && f.size > f.synced {
+			keep += int64(fs.rng.next() % uint64(f.size-f.synced+1))
+		}
+		if err := os.Truncate(f.path, keep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errPowerLost is returned by every Write and Sync after PowerLoss.
+var errPowerLost = fmt.Errorf("power lost: %w", ErrInjected)
+
 // Open opens path for appending (creating it if needed) behind the
-// injection layer.
+// injection layer. Whatever the file already holds counts as synced.
 func (fs *Files) Open(path string) (*File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &File{fs: fs, f: f}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	file := &File{fs: fs, f: f, path: path, size: fi.Size(), synced: fi.Size()}
+	fs.mu.Lock()
+	fs.files = append(fs.files, file)
+	fs.mu.Unlock()
+	return file, nil
 }
 
 // File is one log file behind the injection layer.
 type File struct {
-	fs *Files
-	f  *os.File
+	fs     *Files
+	f      *os.File
+	path   string
+	size   int64 // current length: the length at Open plus every byte written
+	synced int64 // length when the last successful Sync began
 }
 
 // Write appends b, injecting configured torn or refused writes.
@@ -96,6 +144,10 @@ func (f *File) Write(b []byte) (int, error) {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.lost {
+		fs.injected++
+		return 0, errPowerLost
+	}
 	if fs.cfg.WriteLatency > 0 {
 		time.Sleep(fs.cfg.WriteLatency)
 	}
@@ -117,48 +169,65 @@ func (f *File) Write(b []byte) (int, error) {
 		}
 	}
 	fs.writes++
-	if n := fs.cfg.FailWriteAfterBytes; n > 0 {
-		if fs.bytes >= n {
+	n, injErr := len(b), error(nil)
+	if budget := fs.cfg.FailWriteAfterBytes; budget > 0 {
+		if fs.bytes >= budget {
 			fs.injected++
-			return 0, fmt.Errorf("write refused after %d bytes: %w", n, ErrInjected)
+			return 0, fmt.Errorf("write refused after %d bytes: %w", budget, ErrInjected)
 		}
-		if fs.bytes+int64(len(b)) > n {
-			k := int(n - fs.bytes)
-			k, _ = f.f.Write(b[:k])
-			fs.bytes += int64(k)
-			fs.injected++
-			return k, fmt.Errorf("torn write at byte budget %d: %w", n, ErrInjected)
+		if fs.bytes+int64(len(b)) > budget {
+			n = int(budget - fs.bytes)
+			injErr = fmt.Errorf("torn write at byte budget %d: %w", budget, ErrInjected)
 		}
 	}
-	if e := fs.cfg.ShortWriteEvery; e > 0 && fs.writes%int64(e) == 0 && len(b) > 1 {
-		k := 1 + int(fs.rng.next()%uint64(len(b)-1))
-		k, _ = f.f.Write(b[:k])
-		fs.bytes += int64(k)
-		fs.injected++
-		return k, fmt.Errorf("short write (%d of %d bytes): %w", k, len(b), ErrInjected)
+	if e := fs.cfg.ShortWriteEvery; injErr == nil && e > 0 && fs.writes%int64(e) == 0 && len(b) > 1 {
+		n = 1 + int(fs.rng.next()%uint64(len(b)-1))
+		injErr = fmt.Errorf("short write (%d of %d bytes): %w", n, len(b), ErrInjected)
 	}
-	k, err := f.f.Write(b)
+	k, err := f.f.Write(b[:n])
 	fs.bytes += int64(k)
+	f.size += int64(k)
+	if injErr != nil {
+		fs.injected++
+		return k, injErr
+	}
 	return k, err
 }
 
-// Sync fsyncs, or fails without syncing once the budget is spent.
+// Sync fsyncs, or fails without syncing once the budget is spent or the
+// power is lost.
 func (f *File) Sync() error {
 	fs := f.fs
 	fs.mu.Lock()
+	if fs.lost {
+		fs.injected++
+		fs.mu.Unlock()
+		return errPowerLost
+	}
 	if n := fs.cfg.FailFsyncAfter; n > 0 && fs.syncs >= int64(n) {
 		fs.injected++
 		fs.mu.Unlock()
 		return fmt.Errorf("fsync failed after %d rounds: %w", n, ErrInjected)
 	}
 	fs.syncs++
+	size := f.size
 	fs.mu.Unlock()
-	// Sleep outside the lock: concurrent syncs of different shard logs
+	// Sleep outside the lock: concurrent syncs of different files
 	// overlap, like independent flushes in a device queue.
 	if d := fs.cfg.SyncLatency; d > 0 {
 		time.Sleep(d)
 	}
-	return f.f.Sync()
+	if err := f.f.Sync(); err != nil {
+		return err
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.lost { // the power went out before the flush completed
+		fs.injected++
+		return errPowerLost
+	}
+	f.synced = max(f.synced, size)
+	return nil
 }
 
 // Close closes the underlying file.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mwllsc/internal/fault"
+	"mwllsc/internal/shard"
 	"mwllsc/internal/wire"
 )
 
@@ -38,8 +39,7 @@ func TestFaultInjectedTornWriteNoAckedLoss(t *testing.T) {
 			seq = st.NextSeq()
 		})
 		err := st.Append([]Record{{
-			Seq: seq, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: i,
-			Args: args, Shard: m.ShardIndex(i),
+			Seq: seq, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: i, Args: args,
 		}})
 		if err != nil {
 			failures++
@@ -73,5 +73,56 @@ func TestFaultInjectedTornWriteNoAckedLoss(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("acked write to shard %d lost: got %v want %v", sh, got, want)
 		}
+	}
+}
+
+// writeCounter counts the writes a store issues to its log.
+type writeCounter struct {
+	LogFile
+	n *int
+}
+
+func (w writeCounter) Write(b []byte) (int, error) { *w.n++; return w.LogFile.Write(b) }
+
+// TestOneWriteAndOneFsyncPerRound pins the single log's cost: on a
+// K=16 map, an Append carrying one record on every shard is one write,
+// and the group-commit round that follows is exactly one fsync.
+func TestOneWriteAndOneFsyncPerRound(t *testing.T) {
+	const k, rounds = 16, 20
+	m, err := shard.NewMap(k, 4, tW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := fault.NewFiles(fault.FilesConfig{})
+	writes := 0
+	st, _ := openStore(t, t.TempDir(), m, Options{
+		Policy: SyncAlways,
+		OpenLog: func(path string) (LogFile, error) {
+			f, err := ff.Open(path)
+			return writeCounter{f, &writes}, err
+		},
+	})
+	defer st.Close()
+	recs := make([]Record, k)
+	for r := 0; r < rounds; r++ {
+		for i := range recs {
+			recs[i] = Record{Seq: st.NextSeq(), Op: wire.OpUpdate, Mode: wire.ModeAdd,
+				Key: m.KeyForShard(i), Args: []uint64{1, 0}}
+		}
+		if err := st.Append(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if writes != rounds {
+		t.Errorf("%d Appends issued %d writes, want one each", rounds, writes)
+	}
+	if got := ff.Syncs(); got != rounds {
+		t.Errorf("%d rounds issued %d fsyncs, want one each", rounds, got)
+	}
+	if got := st.Stats().Syncs; got != rounds {
+		t.Errorf("Stats().Syncs = %d after %d rounds, want %d", got, rounds, rounds)
 	}
 }

@@ -1,7 +1,7 @@
 // Package persist is the durability layer under the serving stack: a
-// Redis-AOF-style per-shard append-only log of committed declarative
-// updates plus periodic checkpoints, so an llscd restart — graceful or
-// SIGKILL — recovers the map instead of losing every word.
+// Redis-AOF-style append-only log of committed declarative updates plus
+// periodic checkpoints, so an llscd restart — graceful or SIGKILL —
+// recovers the map instead of losing every word.
 //
 // # What is logged
 //
@@ -13,14 +13,14 @@
 //
 //	uint32 length | uint32 crc32c(payload) | payload
 //
-// in the log file of the owning shard (a multi-key record goes to the
-// log of its lowest target shard; recovery reads every log, so the
-// choice only spreads append traffic).
+// in the store's one log file, log-GGGGGGGG.log for the current segment
+// generation G. Each Append is one write of its whole batch; each
+// group-commit round is at most one fsync.
 //
 // # Commit ordering without touching the lock-free hot path
 //
 // Appends happen after the in-memory commit, outside the registry slot,
-// so two connections' records can reach the files in an order different
+// so two connections' records can reach the log in an order different
 // from their commit order. Replay must still apply same-shard updates in
 // commit order (Set does not commute). The sequence number restores it:
 // the server captures Seq inside the update's merge callback — the
@@ -28,7 +28,7 @@
 // record, and on one shard it happens strictly between that update's
 // link and its successful store-conditional. Two committed updates on
 // the same shard therefore carry sequence numbers in their commit
-// order, whatever order their records land in the files, and recovery
+// order, whatever order their records land in the log, and recovery
 // sorts by Seq before replaying. The cost on the hot path is one atomic
 // counter increment per merge attempt; the LL/SC protocol itself is
 // untouched.
@@ -36,8 +36,8 @@
 // # Checkpoints and the watermark
 //
 // A checkpoint must know exactly which logged records its snapshot
-// already contains. Store.Checkpoint first rotates every shard log to a
-// fresh segment generation, then asks the caller (the server) to run an
+// already contains. Store.Checkpoint first rotates the log to a fresh
+// segment generation, then asks the caller (the server) to run an
 // identity transaction over all shards — a cross-shard atomic
 // UpdateMulti whose callback changes nothing but captures one more
 // sequence number S and copies the values out. Because that transaction
@@ -47,27 +47,29 @@
 // written to checkpoint.tmp, fsynced, renamed over checkpoint, and only
 // then are the pre-rotation segments deleted. A crash at any point
 // leaves either the old checkpoint with all segments or the new one
-// with the new segments — recovery replays only records with Seq > S,
+// with the new segment — recovery replays only records with Seq > S,
 // so nothing is lost or double-applied either way.
 //
 // # Recovery
 //
 // Open loads the checkpoint if present (validating magic, version,
-// geometry and CRC), reads every shard-*.log segment, truncates each at
-// the first framing or CRC failure (a torn tail from a crash mid-append,
-// repaired Redis-AOF-style), sorts the surviving records by Seq, drops
-// those at or below the watermark, and replays the rest through the
-// map's own Update/UpdateMulti. The sequence counter resumes above
+// geometry and CRC), reads every log segment — log-*.log, plus the
+// per-shard shard-*.log segments older builds wrote, which the next
+// checkpoint deletes — truncates each at the first framing or CRC
+// failure (a torn tail from a crash mid-append, repaired
+// Redis-AOF-style), sorts the surviving records by Seq, drops those at
+// or below the watermark, and replays the rest through the map's own
+// Update/UpdateMulti. The sequence counter resumes above
 // everything seen, and appends continue into a fresh segment
 // generation.
 //
 // # Fsync policies
 //
 // SyncNone never fsyncs (the OS decides; fastest, weakest), SyncEverySec
-// fsyncs dirty logs on a ticker (bounded loss window), SyncAlways makes
-// the server hold each batch's responses until a group-commit round has
-// fsynced its records — many concurrent batches share one fsync, which
-// is what keeps the policy affordable. The exact contract per policy is
+// fsyncs the dirty log on a ticker (bounded loss window), SyncAlways
+// makes the server hold each batch's responses until a group-commit
+// round has fsynced its records — many concurrent batches share one
+// fsync, which is what keeps the policy affordable. The exact contract per policy is
 // documented in docs/OPERATIONS.md.
 package persist
 
@@ -91,7 +93,7 @@ const (
 	// everything since the last checkpoint; a process crash loses
 	// nothing (the writes are already in the kernel).
 	SyncNone Policy = iota
-	// SyncEverySec fsyncs dirty logs about once per second from a
+	// SyncEverySec fsyncs the dirty log about once per second from a
 	// background goroutine. A machine crash loses at most the last
 	// interval of acknowledged writes.
 	SyncEverySec
@@ -182,9 +184,9 @@ type Record struct {
 	// Args are the merge arguments: W words (OpUpdate) or len(Keys)×W
 	// words (OpUpdateMulti).
 	Args []uint64
-	// Shard routes the record to a log file: the owning shard for
-	// OpUpdate, the lowest target shard for OpUpdateMulti. Recovery
-	// reads every log, so routing affects only append parallelism.
+	// Shard is ignored by the store: every record goes to the one log.
+	// It remains so callers built against the per-shard layout still
+	// compile.
 	Shard int
 }
 

@@ -46,8 +46,7 @@ func apply(t *testing.T, m *shard.Map, st *Store, mode wire.Mode, key uint64, ar
 		seq = st.NextSeq()
 	})
 	err := st.Append([]Record{{
-		Seq: seq, Op: wire.OpUpdate, Mode: mode, Key: key,
-		Args: args, Shard: m.ShardIndex(key),
+		Seq: seq, Op: wire.OpUpdate, Mode: mode, Key: key, Args: args,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -65,15 +64,8 @@ func applyMulti(t *testing.T, m *shard.Map, st *Store, mode wire.Mode, keys []ui
 		}
 		seq = st.NextSeq()
 	})
-	lowest := m.ShardIndex(keys[0])
-	for _, k := range keys[1:] {
-		if i := m.ShardIndex(k); i < lowest {
-			lowest = i
-		}
-	}
 	err := st.Append([]Record{{
-		Seq: seq, Op: wire.OpUpdateMulti, Mode: mode, Keys: keys,
-		Args: args, Shard: lowest,
+		Seq: seq, Op: wire.OpUpdateMulti, Mode: mode, Keys: keys, Args: args,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +158,10 @@ func TestSetOrderRestoredBySeqSort(t *testing.T) {
 	var seq1, seq2 uint64
 	m.Update(key, func(v []uint64) { wire.Merge(v, []uint64{1, 1}, wire.ModeSet); seq1 = st.NextSeq() })
 	m.Update(key, func(v []uint64) { wire.Merge(v, []uint64{9, 9}, wire.ModeSet); seq2 = st.NextSeq() })
-	sh := m.ShardIndex(key)
 	// Append out of order, as two racing connections could.
 	recs := []Record{
-		{Seq: seq2, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{9, 9}, Shard: sh},
-		{Seq: seq1, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{1, 1}, Shard: sh},
+		{Seq: seq2, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{9, 9}},
+		{Seq: seq1, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{1, 1}},
 	}
 	if err := st.Append(recs); err != nil {
 		t.Fatal(err)
@@ -349,7 +340,7 @@ func TestWatermarkFiltersAlreadyCheckpointedRecords(t *testing.T) {
 	var buf []byte
 	buf = appendRecord(buf, &Record{Seq: 1, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: key, Args: []uint64{5, 0}})
 	buf = appendRecord(buf, &Record{Seq: 3, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: key, Args: []uint64{7, 0}})
-	if err := os.WriteFile(filepath.Join(dir, segName(0, 1)), buf, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -439,7 +430,7 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 					seq = st.NextSeq()
 				})
 				if err := st.Append([]Record{{Seq: seq, Op: wire.OpUpdate, Mode: wire.ModeAdd,
-					Key: key, Args: []uint64{1, 0}, Shard: m.ShardIndex(key)}}); err != nil {
+					Key: key, Args: []uint64{1, 0}}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -522,5 +513,134 @@ func TestParseRecordsStopsAtGarbage(t *testing.T) {
 	}
 	if recs[0].Seq != 1 || recs[0].Key != 9 || recs[0].Args[1] != 2 {
 		t.Fatalf("parsed record %+v", recs[0])
+	}
+}
+
+// TestLegacyShardLayoutRecovers recovers a directory in the per-shard
+// layout older builds wrote (shard-SSSS-GGGGGGGG.log, one file per
+// shard, records out of Seq order across files): the records join the
+// same Seq sort, new appends go to a generation above every legacy one,
+// and the first checkpoint deletes the legacy files.
+func TestLegacyShardLayoutRecovers(t *testing.T) {
+	dir := t.TempDir()
+	if err := checkMeta(dir, tK, tW); err != nil {
+		t.Fatal(err)
+	}
+	ref := newMap(t)
+	k0, k1, k2 := ref.KeyForShard(0), ref.KeyForShard(1), ref.KeyForShard(2)
+	// Each record sits in the file of its lowest target shard, as the
+	// per-shard store routed them; Set on k1 at seq 2 followed by Add at
+	// seq 5 and a Set on k0 at seq 6 make the replay order observable.
+	recs := []Record{
+		{Seq: 1, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: k0, Args: []uint64{1, 1}},
+		{Seq: 2, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: k1, Args: []uint64{50, 5}},
+		{Seq: 3, Op: wire.OpUpdateMulti, Mode: wire.ModeAdd, Keys: []uint64{k2, k0}, Args: []uint64{7, 0, 2, 0}},
+		{Seq: 4, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: k2, Args: []uint64{1, 0}},
+		{Seq: 5, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: k1, Args: []uint64{3, 0}},
+		{Seq: 6, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: k0, Args: []uint64{100, 0}},
+	}
+	files := map[string][]int{ // file -> indexes into recs, in file order
+		"shard-0000-00000003.log": {5, 2, 0},
+		"shard-0001-00000003.log": {4, 1},
+		"shard-0002-00000002.log": {3},
+	}
+	for name, idx := range files {
+		var buf []byte
+		for _, i := range idx {
+			buf = appendRecord(buf, &recs[i])
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range recs { // the live history, in Seq order
+		if r.Op == wire.OpUpdate {
+			ref.Update(r.Key, func(v []uint64) { wire.Merge(v, r.Args, r.Mode) })
+			continue
+		}
+		ref.UpdateMulti(r.Keys, func(vals [][]uint64) {
+			for j, v := range vals {
+				wire.Merge(v, r.Args[j*tW:(j+1)*tW], r.Mode)
+			}
+		})
+	}
+	want := snapshotOf(t, ref)
+
+	m, st, rec := reopen(t, dir, Options{})
+	if rec.Segments != len(files) || rec.Replayed != len(recs) || rec.NextSeq != 6 {
+		t.Fatalf("recovery %+v, want %d segments, %d replayed, next seq 6", rec, len(files), len(recs))
+	}
+	if got := snapshotOf(t, m); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(4))); err != nil {
+		t.Fatalf("new appends do not go to generation 4, above the legacy ones: %v", err)
+	}
+	apply(t, m, st, wire.ModeAdd, k2, []uint64{1, 1})
+	checkpointMap(t, st, m)
+	want = snapshotOf(t, m)
+	st.Close()
+	if legacy, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(legacy) != 0 {
+		t.Fatalf("legacy segments survive the first checkpoint: %v", legacy)
+	}
+
+	m2, st2, _ := reopen(t, dir, Options{})
+	defer st2.Close()
+	if got := snapshotOf(t, m2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered after checkpoint %v, want %v", got, want)
+	}
+}
+
+// TestFreshDirHoldsOneLog pins the on-disk layout: a fresh directory
+// holds meta and one log-GGGGGGGG.log, plus the checkpoint once one is
+// written — no per-shard files.
+func TestFreshDirHoldsOneLog(t *testing.T) {
+	dir := t.TempDir()
+	m := newMap(t)
+	st, _ := openStore(t, dir, m, Options{Policy: SyncAlways})
+	for i := 0; i < tK; i++ {
+		apply(t, m, st, wire.ModeAdd, m.KeyForShard(i), []uint64{1, 1})
+	}
+	names := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	if got, want := names(), []string{"log-00000001.log", "meta"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh directory holds %v, want %v", got, want)
+	}
+	checkpointMap(t, st, m)
+	st.Close()
+	if got, want := names(), []string{"checkpoint", "log-00000002.log", "meta"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a checkpoint the directory holds %v, want %v", got, want)
+	}
+}
+
+// TestSyncAllocFree pins the group-commit wait at zero allocations: a
+// single-record Append plus Sync under SyncAlways allocates nothing once
+// the encode buffer is warm.
+func TestSyncAllocFree(t *testing.T) {
+	dir := t.TempDir()
+	m := newMap(t)
+	st, _ := openStore(t, dir, m, Options{Policy: SyncAlways})
+	defer st.Close()
+	recs := []Record{{Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: m.KeyForShard(0), Args: []uint64{1, 0}}}
+	allocs := testing.AllocsPerRun(50, func() {
+		recs[0].Seq = st.NextSeq()
+		if err := st.Append(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append+Sync costs %v allocs/op, want 0", allocs)
 	}
 }

@@ -22,8 +22,8 @@ import (
 // ErrClosed is returned by operations on a closed Store.
 var ErrClosed = errors.New("persist: store closed")
 
-// Store is the open durability state of one map: a log file per shard at
-// the current segment generation, the commit sequence counter, and the
+// Store is the open durability state of one map: the log file of the
+// current segment generation, the commit sequence counter, and the
 // group-commit syncer. Append, Sync and NextSeq are safe for concurrent
 // use; Checkpoint serializes with itself.
 type Store struct {
@@ -32,8 +32,16 @@ type Store struct {
 	policy   Policy
 	interval time.Duration
 
-	seq  atomic.Uint64
-	logs []*shardLog
+	seq atomic.Uint64
+
+	mu    sync.Mutex // guards f, buf and dirty; held across each write
+	f     LogFile
+	buf   []byte
+	dirty bool // written since the last fsync began
+	// syncMu is held across each fsync and each swap of f, so appends
+	// proceed during an fsync while a retired file is never closed
+	// under one.
+	syncMu sync.Mutex
 
 	ckptMu sync.Mutex // serializes Checkpoint; guards gen
 	gen    uint64
@@ -42,10 +50,17 @@ type Store struct {
 	stop chan struct{}
 	done chan struct{}
 
-	waitMu  sync.Mutex
-	waiters []chan struct{}
-	closed  bool
-	close1  sync.Once
+	// Group-commit rounds are numbered: a round takes the next number
+	// in started when it begins and publishes it in finished when it
+	// ends. A Sync caller waits on waitCond for the first round to
+	// start after its call to finish.
+	waitMu   sync.Mutex
+	waitCond sync.Cond
+	started  uint64
+	finished uint64
+	closed   bool // Close has begun: no new Sync callers
+	exited   bool // the syncer has stopped: release every waiter
+	close1   sync.Once
 
 	failMu  sync.Mutex
 	failure error
@@ -58,22 +73,13 @@ type Store struct {
 	syncs   atomic.Uint64
 	ckpts   atomic.Uint64
 
-	// appendHist times appendRun's log write, striped by shard (the
-	// write already serializes on the shard's log mutex, so a stripe
-	// per shard means no cross-shard line sharing). syncHist times each
-	// group-commit round that actually fsynced something — the number
-	// that bounds commit acknowledgment latency under SyncAlways.
-	// Both record nanoseconds.
+	// appendHist times Append's log write; syncHist times each
+	// group-commit round that fsynced the log — the number that bounds
+	// commit acknowledgment latency under SyncAlways. Both record
+	// nanoseconds in one stripe: writes serialize on mu, fsyncs on
+	// syncMu.
 	appendHist *obs.Histogram
 	syncHist   *obs.Histogram
-}
-
-// shardLog is one shard's current segment file.
-type shardLog struct {
-	mu    sync.Mutex
-	f     LogFile
-	buf   []byte
-	dirty atomic.Bool
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -124,24 +130,18 @@ func Open(dir string, m *shard.Map, opts Options) (*Store, Recovery, error) {
 		kick:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		appendHist: obs.NewHistogram(k),
+		appendHist: obs.NewHistogram(1),
 		syncHist:   obs.NewHistogram(1),
 		openLog:    opts.OpenLog,
 	}
+	s.waitCond.L = &s.waitMu
 	s.seq.Store(maxSeq)
 	rec.NextSeq = maxSeq
-	s.logs = make([]*shardLog, k)
-	for i := range s.logs {
-		f, err := s.openLog(filepath.Join(dir, segName(i, s.gen)))
-		if err != nil {
-			for _, lg := range s.logs[:i] {
-				lg.f.Close()
-			}
-			return nil, Recovery{}, fmt.Errorf("persist: %w", err)
-		}
-		s.logs[i] = &shardLog{f: f}
+	if s.f, err = s.openLog(filepath.Join(dir, segName(s.gen))); err != nil {
+		return nil, Recovery{}, fmt.Errorf("persist: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
+		s.f.Close()
 		return nil, Recovery{}, err
 	}
 	go s.syncLoop()
@@ -166,11 +166,11 @@ func (s *Store) Stats() Stats {
 }
 
 // AppendHist returns the log-append latency histogram (nanoseconds,
-// one stripe per shard).
+// one write per Append).
 func (s *Store) AppendHist() *obs.Histogram { return s.appendHist }
 
 // SyncHist returns the group-commit fsync-round latency histogram
-// (nanoseconds; a round covers every dirty shard log).
+// (nanoseconds; a round fsyncs the one log when it is dirty).
 func (s *Store) SyncHist() *obs.Histogram { return s.syncHist }
 
 // Err returns the store's sticky failure, if any: the first disk error
@@ -203,77 +203,54 @@ func (s *Store) fail(err error) {
 // record against every other committed update on its shards.
 func (s *Store) NextSeq() uint64 { return s.seq.Add(1) }
 
-// Append writes recs to their shards' logs. It issues the writes but
-// does not wait for fsync — callers needing durability-before-ack follow
-// with Sync (group commit). Records must already carry their Seq and
-// Shard fields; consecutive same-shard records coalesce into one write.
+// Append writes recs to the log in one write. It does not wait for
+// fsync — callers needing durability-before-ack follow with Sync (group
+// commit). Records must already carry their Seq.
 func (s *Store) Append(recs []Record) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
-	var firstErr error
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1
-		for hi < len(recs) && recs[hi].Shard == recs[lo].Shard {
-			hi++
-		}
-		if err := s.appendRun(recs[lo:hi]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		lo = hi
-	}
-	s.records.Add(uint64(len(recs)))
-	if firstErr != nil {
-		s.fail(firstErr)
-	}
-	return firstErr
-}
-
-// appendRun writes a run of records for one shard under its log mutex.
-func (s *Store) appendRun(recs []Record) error {
-	sh := recs[0].Shard
-	if sh < 0 || sh >= s.k {
-		return fmt.Errorf("persist: record routed to shard %d of %d", sh, s.k)
-	}
-	lg := s.logs[sh]
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	lg.buf = lg.buf[:0]
+	s.mu.Lock()
+	s.buf = s.buf[:0]
 	for i := range recs {
-		lg.buf = appendRecord(lg.buf, &recs[i])
+		s.buf = appendRecord(s.buf, &recs[i])
 	}
 	t0 := time.Now()
-	n, err := lg.f.Write(lg.buf)
-	s.appendHist.Observe(sh, uint64(time.Since(t0)))
+	n, err := s.f.Write(s.buf)
+	s.appendHist.Observe(0, uint64(time.Since(t0)))
+	s.dirty = true
+	s.mu.Unlock()
 	s.bytes.Add(uint64(n))
-	lg.dirty.Store(true)
+	s.records.Add(uint64(len(recs)))
 	if err != nil {
-		return fmt.Errorf("persist: appending to shard %d log: %w", sh, err)
+		err = fmt.Errorf("persist: appending to log: %w", err)
+		s.fail(err)
 	}
-	return nil
+	return err
 }
 
 // Sync waits for a group-commit round that covers every write issued
-// before the call: it registers with the syncer, kicks it, and returns
-// when the round's fsyncs are done. Concurrent callers share one round —
-// this is what makes SyncAlways affordable under pipelined load.
+// before the call: the first round to start after it. It kicks the
+// syncer and returns when that round's fsync is done. Concurrent
+// callers share one round — this is what makes SyncAlways affordable
+// under pipelined load — and waiting allocates nothing.
 func (s *Store) Sync() error {
-	ch := make(chan struct{})
 	s.waitMu.Lock()
 	if s.closed {
 		s.waitMu.Unlock()
 		return ErrClosed
 	}
-	s.waiters = append(s.waiters, ch)
+	round := s.started + 1
 	s.waitMu.Unlock()
 	select {
 	case s.kick <- struct{}{}:
-	default: // a kick is already pending; its round starts after our registration
+	default: // a kick is already pending; its round starts after our read of started
 	}
-	select {
-	case <-ch:
-	case <-s.done:
+	s.waitMu.Lock()
+	for s.finished < round && !s.exited {
+		s.waitCond.Wait()
 	}
+	s.waitMu.Unlock()
 	return s.Err()
 }
 
@@ -281,7 +258,13 @@ func (s *Store) Sync() error {
 // (SyncAlways callers), per tick (SyncEverySec), and a final one at
 // Close.
 func (s *Store) syncLoop() {
-	defer close(s.done)
+	defer func() {
+		s.waitMu.Lock()
+		s.exited = true
+		s.waitMu.Unlock()
+		s.waitCond.Broadcast()
+		close(s.done)
+	}()
 	var tick <-chan time.Time
 	if s.policy == SyncEverySec {
 		t := time.NewTicker(s.interval)
@@ -300,45 +283,43 @@ func (s *Store) syncLoop() {
 	}
 }
 
-// syncRound takes the registered waiters, fsyncs every dirty log, and
-// releases them. Waiters registered before the round starts have their
-// writes already issued, so the fsyncs that follow cover them.
+// syncRound numbers itself, fsyncs the log if it is dirty, and releases
+// the callers waiting for its number. Callers that read started before
+// the round took its number have their writes already issued, so the
+// fsync that follows covers them.
 func (s *Store) syncRound() {
 	s.waitMu.Lock()
-	ws := s.waiters
-	s.waiters = nil
+	s.started++
+	round := s.started
 	s.waitMu.Unlock()
-	synced := false
-	t0 := time.Now()
-	for _, lg := range s.logs {
-		if !lg.dirty.Swap(false) {
-			continue
-		}
-		lg.mu.Lock()
-		err := lg.f.Sync()
-		lg.mu.Unlock()
-		if err != nil {
+	s.syncMu.Lock()
+	s.mu.Lock()
+	dirty := s.dirty
+	s.dirty = false
+	s.mu.Unlock()
+	if dirty {
+		t0 := time.Now()
+		if err := s.f.Sync(); err != nil {
 			s.fail(fmt.Errorf("persist: fsync: %w", err))
 		}
-		synced = true
-	}
-	if synced {
 		s.syncs.Add(1)
 		s.syncHist.Observe(0, uint64(time.Since(t0)))
 	}
-	for _, ch := range ws {
-		close(ch)
-	}
+	s.syncMu.Unlock()
+	s.waitMu.Lock()
+	s.finished = round
+	s.waitMu.Unlock()
+	s.waitCond.Broadcast()
 }
 
-// Checkpoint rewrites the snapshot file and truncates the logs. capture
+// Checkpoint rewrites the snapshot file and truncates the log. capture
 // must return a cross-shard-atomic K×W snapshot of the map together with
 // a sequence watermark S such that, on every shard, exactly the updates
 // with Seq < S are reflected in the snapshot — the server implements it
 // as an identity transaction over all shards that calls NextSeq inside
-// its callback. The store rotates every log to a new segment generation
-// first, so records racing the checkpoint keep accumulating in files
-// that survive; the old segments are deleted only after the new
+// its callback. The store rotates the log to a new segment generation
+// first, so records racing the checkpoint keep accumulating in a file
+// that survives; the old segments are deleted only after the new
 // checkpoint is durably in place. Crash-safe at every step.
 func (s *Store) Checkpoint(capture func() (rows [][]uint64, watermark uint64, err error)) error {
 	s.ckptMu.Lock()
@@ -373,32 +354,37 @@ func (s *Store) Checkpoint(capture func() (rows [][]uint64, watermark uint64, er
 	return nil
 }
 
-// rotate moves every shard log to the next segment generation, fsyncing
-// and closing the old files.
+// rotate moves the log to the next segment generation. It holds syncMu
+// until the retired file is fsynced and the new file's directory entry
+// is durable, so a group-commit round that runs after the swap never
+// releases a caller whose records are still unsynced in the old file,
+// or sit in a new file that could vanish with its directory entry.
 func (s *Store) rotate() error {
 	s.gen++
-	for i, lg := range s.logs {
-		f, err := s.openLog(filepath.Join(s.dir, segName(i, s.gen)))
-		if err != nil {
-			return fmt.Errorf("persist: rotating shard %d log: %w", i, err)
-		}
-		lg.mu.Lock()
-		old := lg.f
-		lg.f = f
-		lg.mu.Unlock()
-		if err := old.Sync(); err != nil {
-			old.Close()
-			return fmt.Errorf("persist: syncing retired shard %d log: %w", i, err)
-		}
-		if err := old.Close(); err != nil {
-			return fmt.Errorf("persist: closing retired shard %d log: %w", i, err)
-		}
+	f, err := s.openLog(filepath.Join(s.dir, segName(s.gen)))
+	if err != nil {
+		return fmt.Errorf("persist: rotating log: %w", err)
+	}
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	s.mu.Lock()
+	old := s.f
+	s.f, s.dirty = f, false
+	s.mu.Unlock()
+	if err := old.Sync(); err != nil {
+		old.Close()
+		err = fmt.Errorf("persist: syncing retired log: %w", err)
+		s.fail(err)
+		return err
+	}
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("persist: closing retired log: %w", err)
 	}
 	return syncDir(s.dir)
 }
 
 // Close runs a final group-commit round, stops the syncer, and fsyncs
-// and closes every log. The caller must have stopped appending (the
+// and closes the log. The caller must have stopped appending (the
 // server's Close drains every connection first).
 func (s *Store) Close() error {
 	s.close1.Do(func() {
@@ -407,29 +393,33 @@ func (s *Store) Close() error {
 		s.waitMu.Unlock()
 		close(s.stop)
 		<-s.done
-		for i, lg := range s.logs {
-			lg.mu.Lock()
-			if err := lg.f.Sync(); err != nil {
-				s.fail(fmt.Errorf("persist: closing shard %d log: %w", i, err))
-			}
-			if err := lg.f.Close(); err != nil {
-				s.fail(fmt.Errorf("persist: closing shard %d log: %w", i, err))
-			}
-			lg.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.f.Sync(); err != nil {
+			s.fail(fmt.Errorf("persist: closing log: %w", err))
+		}
+		if err := s.f.Close(); err != nil {
+			s.fail(fmt.Errorf("persist: closing log: %w", err))
 		}
 	})
 	return s.Err()
 }
 
-// segName is the segment filename for one shard at one generation.
-func segName(shardI int, gen uint64) string {
-	return fmt.Sprintf("shard-%04d-%08d.log", shardI, gen)
+// segName is the log filename for one segment generation.
+func segName(gen uint64) string { return fmt.Sprintf("log-%08d.log", gen) }
+
+// segRE matches log segment names: log-GGGGGGGG.log, and the per-shard
+// shard-SSSS-GGGGGGGG.log names of directories written before the store
+// kept one log. Both hold the same record frames, so legacy segments
+// join the same Seq sort at recovery and go at the next checkpoint.
+var segRE = regexp.MustCompile(`^(?:log|shard-\d+)-(\d+)\.log$`)
+
+type segment struct {
+	path string
+	gen  uint64
 }
 
-var segRE = regexp.MustCompile(`^shard-(\d+)-(\d+)\.log$`)
-
-// listSegments returns dir's segment files as (path, shard, gen)
-// tuples, sorted by shard then generation.
+// listSegments returns dir's log segment files in directory order.
 func listSegments(dir string) ([]segment, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -441,26 +431,13 @@ func listSegments(dir string) ([]segment, error) {
 		if m == nil {
 			continue
 		}
-		sh, err1 := strconv.Atoi(m[1])
-		gen, err2 := strconv.ParseUint(m[2], 10, 64)
-		if err1 != nil || err2 != nil {
+		gen, err := strconv.ParseUint(m[1], 10, 64)
+		if err != nil {
 			continue
 		}
-		segs = append(segs, segment{path: filepath.Join(dir, ent.Name()), shard: sh, gen: gen})
+		segs = append(segs, segment{path: filepath.Join(dir, ent.Name()), gen: gen})
 	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].shard != segs[j].shard {
-			return segs[i].shard < segs[j].shard
-		}
-		return segs[i].gen < segs[j].gen
-	})
 	return segs, nil
-}
-
-type segment struct {
-	path  string
-	shard int
-	gen   uint64
 }
 
 // removeSegments deletes every segment at or below gen.

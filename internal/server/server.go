@@ -82,12 +82,13 @@ func WithTracer(t *trace.Tracer) Option {
 	}
 }
 
-// WithPersist attaches a durability store (internal/persist): every
-// committed Update/UpdateMulti is appended to the store's per-shard log
-// after its batch executes — outside the registry slot, so disk I/O
-// never pins a process id — and, under persist.SyncAlways, the batch's
-// responses are held until a group-commit fsync covers its records. The
-// store must have been opened over the same map this server serves.
+// WithPersist attaches a durability store (internal/persist): each
+// batch's committed Update/UpdateMulti records are appended to the
+// store's one log in a single write after the batch executes — outside
+// the registry slot, so disk I/O never pins a process id — and, under
+// persist.SyncAlways, the batch's responses are held until a
+// group-commit fsync covers its records. The store must have been
+// opened over the same map this server serves.
 func WithPersist(st *persist.Store) Option {
 	return func(s *Server) { s.persist = st }
 }
@@ -1076,7 +1077,6 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
 		if rec != nil {
 			rec.Op, rec.Mode, rec.Key, rec.Args = wire.OpUpdate, req.Mode, req.Key, req.Args
-			rec.Shard = s.m.ShardIndex(req.Key)
 		}
 
 	case wire.OpSnapshot, wire.OpSnapshotAtomic:
@@ -1126,12 +1126,6 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
 		if rec != nil {
 			rec.Op, rec.Mode, rec.Keys, rec.Args = wire.OpUpdateMulti, req.Mode, req.Keys, req.Args
-			rec.Shard = s.m.ShardIndex(req.Keys[0])
-			for _, k := range req.Keys[1:] {
-				if i := s.m.ShardIndex(k); i < rec.Shard {
-					rec.Shard = i
-				}
-			}
 		}
 
 	case wire.OpStats:
