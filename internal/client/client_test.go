@@ -300,7 +300,8 @@ func TestAllConnsBrokenSurfaceError(t *testing.T) {
 // TestRawMalformedFrame drives the server with a hand-built bad frame
 // and checks the error response comes back well-formed — alone, and
 // pipelined between two good requests in one write, where all three
-// answers must come back and only the bad frame counts as BadReqs.
+// answers must come back and only the bad frame counts as BadReqs —
+// and that a frame too short to carry an id is answered with id 0.
 func TestRawMalformedFrame(t *testing.T) {
 	s, addr := startServer(t, 2, 2, 1)
 	nc, err := net.Dial("tcp", addr)
@@ -353,6 +354,31 @@ func TestRawMalformedFrame(t *testing.T) {
 	}
 	if d := s.Stats().BadReqs - before; d != 1 {
 		t.Fatalf("BadReqs rose by %d, want exactly 1", d)
+	}
+
+	// A frame too short to carry an id is answered with id 0, not with
+	// the id of the request that last occupied its batch slot: a good
+	// request, answered, then a 3-byte frame on the same connection.
+	if err := wire.WriteFrame(nc, wire.AppendRequest(nil, &wire.Request{ID: 21, Op: wire.OpRead, Key: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = wire.ReadFrame(nc, frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.DecodeResponse(&resp, frame); err != nil || resp.ID != 21 || resp.Status != wire.StatusOK {
+		t.Fatalf("good read: id %d status %v err %v, want id 21 ok", resp.ID, resp.Status, err)
+	}
+	if err := wire.WriteFrame(nc, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = wire.ReadFrame(nc, frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.DecodeResponse(&resp, frame); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != wire.StatusBadRequest || resp.ID != 0 {
+		t.Fatalf("short frame answered id %d status %v, want id 0 bad-request", resp.ID, resp.Status)
 	}
 }
 

@@ -126,3 +126,41 @@ func TestOneWriteAndOneFsyncPerRound(t *testing.T) {
 		t.Errorf("Stats().Syncs = %d after %d rounds, want %d", got, rounds, rounds)
 	}
 }
+
+// TestFailedAppendCountsNoRecords: Stats().Records counts only records
+// that reached the log, while Bytes counts what was actually written —
+// the torn prefix of a failed append included — so the records total and
+// the bytes-per-record ratio stay honest after a disk error.
+func TestFailedAppendCountsNoRecords(t *testing.T) {
+	m := newMap(t)
+	mk := func() []Record {
+		recs := make([]Record, 2)
+		for i := range recs {
+			recs[i] = Record{Seq: uint64(i + 1), Op: wire.OpUpdate, Mode: wire.ModeAdd,
+				Key: m.KeyForShard(i), Args: []uint64{1, 0}}
+		}
+		return recs
+	}
+	var good int
+	for _, r := range mk() {
+		good += len(appendRecord(nil, &r))
+	}
+	const torn = 10 // bytes of the second append that reach the disk
+	ff := fault.NewFiles(fault.FilesConfig{FailWriteAfterBytes: int64(good + torn)})
+	st, _ := openStore(t, t.TempDir(), m, Options{
+		OpenLog: func(path string) (LogFile, error) { return ff.Open(path) },
+	})
+	defer st.Close()
+	if err := st.Append(mk()); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats(); got.Records != 2 || got.Bytes != uint64(good) {
+		t.Fatalf("after a good append: records %d bytes %d, want 2 and %d", got.Records, got.Bytes, good)
+	}
+	if err := st.Append(mk()); err == nil {
+		t.Fatal("append past the byte budget succeeded")
+	}
+	if got := st.Stats(); got.Records != 2 || got.Bytes != uint64(good+torn) {
+		t.Errorf("after a torn append: records %d bytes %d, want 2 (unchanged) and %d (torn prefix)", got.Records, got.Bytes, good+torn)
+	}
+}

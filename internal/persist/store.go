@@ -84,8 +84,8 @@ type Store struct {
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
-	Records     uint64 // records appended since Open
-	Bytes       uint64 // log bytes written since Open
+	Records     uint64 // records written by successful appends since Open
+	Bytes       uint64 // log bytes written since Open, torn prefixes included
 	Syncs       uint64 // group-commit fsync rounds completed
 	Checkpoints uint64 // checkpoints written since Open
 	Seq         uint64 // current commit sequence number
@@ -221,12 +221,13 @@ func (s *Store) Append(recs []Record) error {
 	s.dirty = true
 	s.mu.Unlock()
 	s.bytes.Add(uint64(n))
-	s.records.Add(uint64(len(recs)))
 	if err != nil {
 		err = fmt.Errorf("persist: appending to log: %w", err)
 		s.fail(err)
+		return err
 	}
-	return err
+	s.records.Add(uint64(len(recs)))
+	return nil
 }
 
 // Sync waits for a group-commit round that covers every write issued

@@ -305,7 +305,7 @@ func TestBusyRejectZeroAlloc(t *testing.T) {
 	s.sem <- struct{}{}
 	cs := s.newConnState()
 	round := func() {
-		mkReadBatch(m, cs, batchN)
+		mkReadBatch(cs, batchN)
 		cs.batch[0].span = s.Tracer().Get()
 		s.execRound(cs)
 	}

@@ -6,14 +6,15 @@
 // request frames and gathers them into batches: it blocks for the first
 // request, then drains whatever else has already arrived (up to
 // MaxBatch), so under pipelined load one registry Acquire/Release pays
-// for many operations. Within a batch, single-key operations execute
-// grouped by target shard — touching each shard's memory once while it
-// is hot — which reorders responses relative to arrival; the request id
-// in every response frame is what lets clients match them back up. The
-// reader hands each batch's responses to the writer goroutine as one
-// unit in one channel send; the writer streams them out, flushes only
-// when its queue runs empty — coalescing many small frames into few
-// syscalls — and hands the unit back for reuse.
+// for many operations. A batch executes in arrival order: each shard is
+// an independent W-word LL/SC object whose operations cost the same
+// whichever shard ran before, so there is nothing to gain from
+// regrouping. Clients still match responses by the request id every
+// response frame carries. The reader hands each batch's responses to
+// the writer goroutine as one unit in one channel send; the writer
+// streams them out, flushes only when its queue runs empty — coalescing
+// many small frames into few syscalls — and hands the unit back for
+// reuse.
 //
 // Every server is instrumented: it always carries latency histograms
 // (Metrics) and a tracer (internal/trace) that stays idle until a
@@ -27,8 +28,7 @@
 // commit, Snapshot is per-shard atomic, SnapshotAtomic cross-shard
 // linearizable. Batching never weakens this — a batch is just the same
 // sequence of linearizable operations issued by one process slot, and
-// operations of one connection that target the same key execute in
-// arrival order (shard grouping is order-preserving per shard).
+// the operations of one batch execute in the order they arrived.
 package server
 
 import (
@@ -383,7 +383,7 @@ const outUnits = 4
 // the unit, which is why responses cost no allocation in steady state —
 // and the trace span of each traced one, which the writer finishes
 // after the flush that carries it. Malformed-frame answers come first,
-// then the batch's responses in execution order.
+// then the batch's responses in batch order.
 type batchOut struct {
 	items []outItem
 }
@@ -414,7 +414,7 @@ const (
 	mArrive  = iota // head frame read
 	mDecode         // gather/decode: the batch's frames decoded
 	mAdmit          // admit: inflight token taken, or the batch rejected
-	mQueue          // queue: degraded verdict and shard sort
+	mQueue          // queue: degraded verdict
 	mAcquire        // acquire: registry slot held
 	mExecute        // execute: operations run, slot released
 	mPersist        // persist: committed updates appended to the log
@@ -430,16 +430,15 @@ var spanEnd = [trace.WireStages]int{mDecode, mQueue, mAcquire, mExecute, mPersis
 // hot path is allocation-free in steady state. It holds the decoded
 // batch (whose Request slots recycle their Keys/Args backing arrays),
 // the batch units cycled between the reader and the writer goroutine,
-// the executor's collection slices, the per-batch map handle (re-armed
+// the batch's log records, the per-batch map handle (re-armed
 // with Reacquire instead of reallocated), and the merge closures
 // pre-bound at connection setup, which would otherwise be allocated per
 // update to capture that request's arguments.
 type connState struct {
-	h       *shard.MapHandle // lazily acquired, then Reacquire per batch
-	batch   []batchReq
-	recs    []persist.Record
-	recResp []int      // recs[i] belongs to unit.items[recResp[i]]
-	rows    [][]uint64 // snapshot row scratch over resp.Data
+	h     *shard.MapHandle // lazily acquired, then Reacquire per batch
+	batch []batchReq
+	recs  []persist.Record // the batch's committed updates, for the log
+	rows  [][]uint64       // snapshot row scratch over resp.Data
 
 	// The writer handoff: unit is the batch unit being filled, out
 	// carries filled units to the writer, free carries them back.
@@ -450,12 +449,14 @@ type connState struct {
 	// clk is the current batch's stage clock (the m* marks).
 	clk [numMarks]time.Time
 
-	// Update/UpdateMulti state read by the pre-bound merge closures.
+	// Update/UpdateMulti state read by the pre-bound merge closures. seq
+	// is the commit sequence number the latest merge run drew (with a
+	// store attached): after the update returns, the committing run's.
 	args       []uint64
 	dst        []uint64
 	mode       wire.Mode
 	w          int
-	rec        *persist.Record // nil when the op is not persisted
+	seq        uint64
 	mergeOne   func(v []uint64)
 	mergeMulti func(vals [][]uint64)
 
@@ -496,8 +497,8 @@ func (s *Server) newConnState() *connState {
 	cs.mergeOne = func(v []uint64) {
 		wire.Merge(v, cs.args, cs.mode)
 		copy(cs.dst, v)
-		if cs.rec != nil {
-			cs.rec.Seq = s.persist.NextSeq()
+		if s.persist != nil {
+			cs.seq = s.persist.NextSeq()
 		}
 	}
 	cs.mergeMulti = func(vals [][]uint64) {
@@ -505,8 +506,8 @@ func (s *Server) newConnState() *connState {
 			wire.Merge(v, cs.args[i*cs.w:(i+1)*cs.w], cs.mode)
 			copy(cs.dst[i*cs.w:(i+1)*cs.w], v)
 		}
-		if cs.rec != nil {
-			cs.rec.Seq = s.persist.NextSeq()
+		if s.persist != nil {
+			cs.seq = s.persist.NextSeq()
 		}
 	}
 	return cs
@@ -666,13 +667,11 @@ func (s *Server) finishSpans(spans []*trace.Span, failed bool) {
 	}
 }
 
-// batchReq is one decoded request waiting in a batch, with its target
-// shard precomputed for grouping and its trace span when the request is
-// traced (nil otherwise).
+// batchReq is one decoded request waiting in a batch, with its trace
+// span when the request is traced (nil otherwise).
 type batchReq struct {
-	req    wire.Request
-	shardI int // target shard for Read/Update; -1 otherwise
-	span   *trace.Span
+	req  wire.Request
+	span *trace.Span
 }
 
 // readLoop decodes frames into batches and executes them. It returns on
@@ -777,12 +776,6 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 			br.span = s.tracer.Get()
 		}
 	}
-	switch br.req.Op {
-	case wire.OpRead, wire.OpUpdate:
-		br.shardI = s.m.ShardIndex(br.req.Key)
-	default:
-		br.shardI = -1
-	}
 	cs.batch = batch
 	return frame
 }
@@ -839,36 +832,14 @@ func (s *Server) executeBatch(cs *connState) {
 }
 
 // runAdmitted runs an admitted batch's queue, acquire, execute, persist
-// and fsync stages through one acquired handle — single-key operations
-// grouped by shard, everything else in arrival order — appending its
-// responses to the unit after index base. It returns the counter stripe
-// the batch ran on.
-//
-// Grouping must not reorder operations whose effects could be observed
-// in issue order by the issuing client: two single-key ops on the same
-// shard keep their order under the stable sort, and every op that can
-// touch more than one shard (UpdateMulti, the snapshots) acts as a
-// barrier — only the runs of single-key ops *between* barriers are
-// shard-sorted. Without the barrier, an Update(k) pipelined before an
-// UpdateMulti([k,...]) would execute after it.
+// and fsync stages through one acquired handle, in arrival order,
+// appending the response to batch[i] at unit index base+i. It returns
+// the counter stripe the batch ran on.
 func (s *Server) runAdmitted(cs *connState, base int) int {
-	batch := cs.batch
 	// Degraded mode is decided once per batch: the store's sick flag is
 	// a single atomic load, and every update in the batch sees the same
 	// verdict.
 	cs.degraded = s.degrade && s.persist != nil && s.persist.Sick()
-	for lo := 0; lo < len(batch); {
-		if batch[lo].shardI < 0 {
-			lo++
-			continue
-		}
-		hi := lo + 1
-		for hi < len(batch) && batch[hi].shardI >= 0 {
-			hi++
-		}
-		sortRunByShard(batch[lo:hi])
-		lo = hi
-	}
 	cs.stamp(mQueue)
 
 	if cs.h == nil {
@@ -884,22 +855,10 @@ func (s *Server) runAdmitted(cs *connState, base int) int {
 	// and therefore writes different cache lines.
 	p := h.Process()
 	s.ctrs.Inc(p, cBatches)
-	s.ctrs.Add(p, cReqs, uint64(len(batch)))
-	cs.recs, cs.recResp = cs.recs[:0], cs.recResp[:0]
-	for i := range batch {
-		var rec *persist.Record
-		if s.persist != nil {
-			cs.recs = append(cs.recs, persist.Record{})
-			rec = &cs.recs[len(cs.recs)-1]
-		}
-		s.execute(cs, h, p, &batch[i].req, rec, cs.unit.add())
-		if rec != nil {
-			if rec.Op == 0 { // not a committed update; nothing to log
-				cs.recs = cs.recs[:len(cs.recs)-1]
-			} else {
-				cs.recResp = append(cs.recResp, base+i)
-			}
-		}
+	s.ctrs.Add(p, cReqs, uint64(len(cs.batch)))
+	cs.recs = cs.recs[:0]
+	for i := range cs.batch {
+		s.execute(cs, h, p, &cs.batch[i].req, cs.unit.add())
 	}
 	h.Release()
 	cs.stamp(mExecute)
@@ -923,17 +882,17 @@ func (s *Server) runAdmitted(cs *connState, base int) int {
 		s.logf("server: persistence: %v", err)
 		s.ctrs.Inc(p, cPersistErrs)
 		if s.persist.Policy() == persist.SyncAlways {
-			// The in-memory commit stands, but the durability the policy
-			// promises does not — fail the acknowledgment rather than lie
-			// about it. The conversions count as BadReqs so the drift is
-			// visible in the stats.
-			s.ctrs.Add(p, cBadReqs, uint64(len(cs.recResp)))
-			for _, ri := range cs.recResp {
-				r := &cs.unit.items[ri].resp
-				r.Status = wire.StatusBadRequest
-				r.Err = fmt.Sprintf("persistence failure: %v", err)
-				r.Attempts, r.Rows, r.Words = 0, 0, 0
-				r.Data = r.Data[:0]
+			// The in-memory commits stand, but the durability the policy
+			// promises does not — fail the acknowledgments rather than lie
+			// about them. Every OK update response in the batch is one of
+			// the logged records; the conversions count as BadReqs so the
+			// drift is visible in the stats.
+			msg := fmt.Sprintf("persistence failure: %v", err)
+			for i := range cs.batch {
+				r := &cs.unit.items[base+i].resp
+				if op := cs.batch[i].req.Op; r.Status == wire.StatusOK && (op == wire.OpUpdate || op == wire.OpUpdateMulti) {
+					s.reject(p, r, wire.StatusBadRequest, msg)
+				}
 			}
 		}
 	}
@@ -987,24 +946,11 @@ const (
 // the other no-slot paths); traced requests still get spans from
 // fillSpans, so an overloaded server remains observable through /tracez.
 func (s *Server) rejectBusy(cs *connState) {
-	n := uint64(len(cs.batch))
-	s.ctrs.Add(0, cBusy, n)
-	s.ctrs.Add(0, cBadReqs, n)
+	s.ctrs.Add(0, cBusy, uint64(len(cs.batch)))
 	for i := range cs.batch {
 		resp := cs.unit.add()
-		resp.ID, resp.Status, resp.Err = cs.batch[i].req.ID, wire.StatusBusy, busyMsg
-	}
-}
-
-// sortRunByShard stably sorts a run of single-key requests by target
-// shard: an insertion sort, because runs are small (≤ maxBatch), arrival
-// order within a shard must be preserved, and sort.SliceStable's closure
-// would be the hot path's last per-batch allocation.
-func sortRunByShard(run []batchReq) {
-	for i := 1; i < len(run); i++ {
-		for j := i; j > 0 && run[j].shardI < run[j-1].shardI; j-- {
-			run[j], run[j-1] = run[j-1], run[j]
-		}
+		resp.ID = cs.batch[i].req.ID
+		s.reject(0, resp, wire.StatusBusy, busyMsg)
 	}
 }
 
@@ -1040,12 +986,10 @@ func (s *Server) Checkpoint() error {
 }
 
 // execute runs one request, filling resp (a unit response reset by
-// batchOut.add). When persistence is on, rec is a scratch Record the durable
-// ops fill in — Seq is drawn inside the merge callback, whose final
-// (committing) run leaves the number that orders the record against
-// every other committed update on its shards; rec.Op stays 0 for
-// non-durable or failed requests.
-func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Request, rec *persist.Record, resp *wire.Response) {
+// batchOut.add). With a store attached, each committed update appends
+// its record to cs.recs, carrying the Seq its committing merge run drew
+// — the number that orders it against every other committed update.
+func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Request, resp *wire.Response) {
 	resp.ID = req.ID
 	w := s.m.W()
 	switch req.Op {
@@ -1057,26 +1001,34 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 		resp.Rows, resp.Words = 1, uint32(w)
 		h.Read(req.Key, sizedData(resp, w))
 
-	case wire.OpUpdate:
-		s.ctrs.Inc(p, cUpdates)
-		if cs.degraded {
-			s.failDegraded(p, resp)
-			return
+	case wire.OpUpdate, wire.OpUpdateMulti:
+		nk, ctr := 1, cUpdates
+		if req.Op == wire.OpUpdateMulti {
+			nk, ctr = len(req.Keys), cMultis
 		}
-		if len(req.Args) != w {
-			s.fail(p, resp, "update args have %d words, map width is %d", len(req.Args), w)
+		s.ctrs.Inc(p, ctr)
+		switch {
+		case cs.degraded:
+			s.ctrs.Inc(p, cDegraded)
+			s.reject(p, resp, wire.StatusUnavailable, degradedMsg)
 			return
-		}
-		if req.Mode > wire.ModeSet {
+		case len(req.Args) != nk*w:
+			s.fail(p, resp, "%v args have %d words, want %d keys × width %d", req.Op, len(req.Args), nk, w)
+			return
+		case req.Mode > wire.ModeSet:
 			s.fail(p, resp, "unknown update mode %d", req.Mode)
 			return
 		}
-		resp.Rows, resp.Words = 1, uint32(w)
-		cs.args, cs.mode, cs.dst, cs.rec = req.Args, req.Mode, sizedData(resp, w), rec
-		resp.Attempts = uint32(h.Update(req.Key, cs.mergeOne))
+		resp.Rows, resp.Words = uint32(nk), uint32(w)
+		cs.args, cs.mode, cs.dst, cs.w = req.Args, req.Mode, sizedData(resp, nk*w), w
+		if req.Op == wire.OpUpdate {
+			resp.Attempts = uint32(h.Update(req.Key, cs.mergeOne))
+		} else {
+			resp.Attempts = uint32(h.UpdateMulti(req.Keys, cs.mergeMulti))
+		}
 		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
-		if rec != nil {
-			rec.Op, rec.Mode, rec.Key, rec.Args = wire.OpUpdate, req.Mode, req.Key, req.Args
+		if s.persist != nil {
+			cs.recs = append(cs.recs, persist.Record{Seq: cs.seq, Op: req.Op, Mode: req.Mode, Key: req.Key, Keys: req.Keys, Args: req.Args})
 		}
 
 	case wire.OpSnapshot, wire.OpSnapshotAtomic:
@@ -1105,29 +1057,6 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 			h.Snapshot(rows)
 		}
 
-	case wire.OpUpdateMulti:
-		s.ctrs.Inc(p, cMultis)
-		if cs.degraded {
-			s.failDegraded(p, resp)
-			return
-		}
-		nk := len(req.Keys)
-		if len(req.Args) != nk*w {
-			s.fail(p, resp, "updatemulti args have %d words, want %d keys × width %d", len(req.Args), nk, w)
-			return
-		}
-		if req.Mode > wire.ModeSet {
-			s.fail(p, resp, "unknown update mode %d", req.Mode)
-			return
-		}
-		resp.Rows, resp.Words = uint32(nk), uint32(w)
-		cs.args, cs.mode, cs.dst, cs.rec, cs.w = req.Args, req.Mode, sizedData(resp, nk*w), rec, w
-		resp.Attempts = uint32(h.UpdateMulti(req.Keys, cs.mergeMulti))
-		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
-		if rec != nil {
-			rec.Op, rec.Mode, rec.Keys, rec.Args = wire.OpUpdateMulti, req.Mode, req.Keys, req.Args
-		}
-
 	case wire.OpStats:
 		st := s.Stats()
 		resp.Data = st.Append(resp.Data[:0])
@@ -1146,24 +1075,18 @@ func SnapshotFits(k, w int) bool {
 	return k*w <= (wire.MaxFrame-respHeader)/8
 }
 
-// fail marks resp as a StatusBadRequest response, counting it on
-// stripe p.
+// fail rejects resp with StatusBadRequest and a formatted message.
 func (s *Server) fail(p int, resp *wire.Response, format string, args ...any) {
-	s.ctrs.Inc(p, cBadReqs)
-	resp.Status = wire.StatusBadRequest
-	resp.Err = fmt.Sprintf(format, args...)
-	resp.Attempts, resp.Rows, resp.Words = 0, 0, 0
-	resp.Data = resp.Data[:0]
+	s.reject(p, resp, wire.StatusBadRequest, fmt.Sprintf(format, args...))
 }
 
-// failDegraded marks resp as a StatusUnavailable rejection: the
-// read-only degraded mode's answer to an update. The message is
-// constant — this path runs for every update while the store is sick.
-func (s *Server) failDegraded(p int, resp *wire.Response) {
-	s.ctrs.Inc(p, cDegraded)
+// reject turns resp into an error response with status st and message
+// msg, counting it as a BadReq on stripe p: the one writer of every
+// error answer to a decoded request — invalid, busy, degraded, or an
+// update whose durability failed.
+func (s *Server) reject(p int, resp *wire.Response, st wire.Status, msg string) {
 	s.ctrs.Inc(p, cBadReqs)
-	resp.Status = wire.StatusUnavailable
-	resp.Err = degradedMsg
+	resp.Status, resp.Err = st, msg
 	resp.Attempts, resp.Rows, resp.Words = 0, 0, 0
 	resp.Data = resp.Data[:0]
 }

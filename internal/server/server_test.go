@@ -275,10 +275,9 @@ func TestSlotOversubscription(t *testing.T) {
 
 // TestBatchBarrierOrder pins the batch-execution ordering contract for
 // mixed op kinds: an Update pipelined BEFORE an UpdateMulti on the same
-// key must execute before it, even when both land in one batch (multi
-// ops are barriers; only single-key runs between barriers are
-// shard-sorted). The two frames are written in one syscall so they
-// arrive together and batch together.
+// key must execute before it, even when both land in one batch (the
+// executor runs a batch in arrival order). The two frames are written
+// in one syscall so they arrive together and batch together.
 func TestBatchBarrierOrder(t *testing.T) {
 	m, err := shard.NewMap(4, 4, 1)
 	if err != nil {
@@ -379,9 +378,9 @@ func TestNonReadingClientDoesNotPinSlots(t *testing.T) {
 	}
 }
 
-// TestPerKeyOrderPreserved checks that shard-grouped batch execution
-// never reorders two operations on the same key from one connection: a
-// Set followed by an Add must land in that order.
+// TestPerKeyOrderPreserved checks that batch execution never reorders
+// two operations on the same key from one connection: a Set followed by
+// an Add must land in that order.
 func TestPerKeyOrderPreserved(t *testing.T) {
 	m, err := shard.NewMap(4, 4, 1)
 	if err != nil {

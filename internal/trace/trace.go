@@ -40,7 +40,7 @@ const (
 	// decoding the batch it arrived in (batched frames share the read).
 	StageDecode Stage = iota
 	// StageQueue: from batch fully decoded to execution start — the
-	// batch queue wait, including the shard-grouping sort.
+	// admission check and the batch's degraded-mode verdict.
 	StageQueue
 	// StageAcquire: acquiring the registry process slot for the batch.
 	StageAcquire

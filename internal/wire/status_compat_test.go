@@ -167,8 +167,14 @@ func TestOldDecoderReadsOverloadRows(t *testing.T) {
 }
 
 // TestOverloadStatsRoundTrip: the full 22-word row through the wire.
+// The row is frozen at 22 words (new server metrics go to the admin
+// plane), so its width is pinned too.
 func TestOverloadStatsRoundTrip(t *testing.T) {
-	got, err := DecodeStats(overloadStats.Append(nil))
+	row := overloadStats.Append(nil)
+	if len(row) != 22 {
+		t.Fatalf("stats row is %d words, want the frozen 22", len(row))
+	}
+	got, err := DecodeStats(row)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,17 +309,16 @@ func splitReqTrace(req *Request, body []byte) []byte {
 }
 
 // DecodeRequest decodes a request payload into req, reusing req's Keys
-// and Args backing arrays when they are large enough.
+// and Args backing arrays when they are large enough. Every field is
+// reset first, so a payload too short to carry an id leaves id 0.
 func DecodeRequest(req *Request, payload []byte) error {
+	*req = Request{Keys: req.Keys[:0], Args: req.Args[:0]}
 	if len(payload) < 9 {
 		return fmt.Errorf("wire: request payload %d bytes, need >= 9", len(payload))
 	}
 	req.ID = binary.LittleEndian.Uint64(payload)
 	req.Op = Op(payload[8])
 	body := payload[9:]
-	req.Mode, req.Key = 0, 0
-	req.Keys, req.Args = req.Keys[:0], req.Args[:0]
-	req.Traced, req.TraceID = false, 0
 	// The trace suffix is detectable by length alone: every op-specific
 	// body is a whole number of 8-byte words past its fixed header, and
 	// the suffix is 9 bytes, so the length residue says whether one is
@@ -410,17 +409,16 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 }
 
 // DecodeResponse decodes a response payload into resp, reusing resp's
-// Data backing array when it is large enough.
+// Data backing array when it is large enough. Every field is reset
+// first, so a payload too short to carry an id leaves id 0.
 func DecodeResponse(resp *Response, payload []byte) error {
+	*resp = Response{Data: resp.Data[:0], Stages: resp.Stages[:0]}
 	if len(payload) < 9 {
 		return fmt.Errorf("wire: response payload %d bytes, need >= 9", len(payload))
 	}
 	resp.ID = binary.LittleEndian.Uint64(payload)
 	resp.Status = Status(payload[8])
 	body := payload[9:]
-	resp.Attempts, resp.Rows, resp.Words = 0, 0, 0
-	resp.Data, resp.Err = resp.Data[:0], ""
-	resp.Traced, resp.TraceID, resp.Stages = false, 0, resp.Stages[:0]
 	if resp.Status != StatusOK {
 		if len(body) < 2 {
 			return fmt.Errorf("wire: error response body %d bytes, want >= 2", len(body))
@@ -568,6 +566,10 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 // on the wire as one row of uint64 words in field order. Decoding
 // tolerates a longer row (a newer server may append fields), so old
 // clients keep working against new servers.
+//
+// The row is frozen at its current 22 words (12 fixed, optional words
+// 12-21): new server metrics are exported only through the admin plane
+// (server.RegisterMetrics → /metrics, /statsz), not appended here.
 type ServerStats struct {
 	Shards     uint64 // map geometry: K
 	Slots      uint64 // map geometry: N (registry slots)
@@ -624,7 +626,8 @@ type ServerStats struct {
 // words 13-16, and the overload-control counters (ShedConns/
 // BusyRejects/Evictions/IdleCloses/DegradedRejects) as optional words
 // 17-21, so new clients still decode rows from older servers (and, per
-// the tolerant-decode rule above, vice versa).
+// the tolerant-decode rule above, vice versa). The row is frozen at
+// those 22 words; it gains no further optional words.
 const statsWords = 12
 
 // Append encodes s in field order.

@@ -106,6 +106,33 @@ func TestDecodeResponseRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeShortPayloadResetsID: a payload too short to carry an id
+// decodes as id 0 even into a value that held an earlier request or
+// response — servers decode into recycled slots and answer a malformed
+// frame with whatever id the decode left behind.
+func TestDecodeShortPayloadResetsID(t *testing.T) {
+	req := Request{}
+	if err := DecodeRequest(&req, AppendRequest(nil, &Request{ID: 42, Op: OpRead, Key: 7})); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeRequest(&req, []byte{1, 2, 3}); err == nil {
+		t.Fatal("3-byte request payload decoded without error")
+	}
+	if req.ID != 0 || req.Op != 0 || req.Key != 0 {
+		t.Errorf("after a 3-byte request payload: id %d op %v key %d, want all 0", req.ID, req.Op, req.Key)
+	}
+	resp := Response{}
+	if err := DecodeResponse(&resp, AppendResponse(nil, &Response{ID: 42, Status: StatusBusy, Err: "busy"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeResponse(&resp, []byte{1, 2, 3}); err == nil {
+		t.Fatal("3-byte response payload decoded without error")
+	}
+	if resp.ID != 0 || resp.Status != 0 || resp.Err != "" {
+		t.Errorf("after a 3-byte response payload: id %d status %v err %q, want zero", resp.ID, resp.Status, resp.Err)
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{1}, {}, []byte(strings.Repeat("x", 1000))}
