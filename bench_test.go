@@ -55,6 +55,24 @@ func BenchmarkE1_LL(b *testing.B) {
 	}
 }
 
+// BenchmarkE1_Read measures the store-free Read of the paper's object
+// beside BenchmarkE1_LL: LL(X), a W-word copy and VL(X), with none of
+// LL's Help announcement, withdrawal or Line 11 buffer store.
+func BenchmarkE1_Read(b *testing.B) {
+	for _, name := range []string{"jp", "jp-ptr"} {
+		for _, w := range []int{1, 16, 128} {
+			b.Run(fmt.Sprintf("impl=%s/W=%d", name, w), func(b *testing.B) {
+				obj := newObj(b, name, 8, w).(*core.Object)
+				v := make([]uint64, w)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					obj.Read(0, v)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkE1_LLSC measures an uncontended LL;SC round vs W; with
 // -benchmem its allocs/op column is experiment E7, and the jp vs jp-ptr
 // rows are experiment E5.

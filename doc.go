@@ -54,9 +54,9 @@
 // objects that share one registry: an acquired id is valid on every
 // shard, per-key operations stay linearizable exactly as on a single
 // object, and updates to different shards proceed without interfering.
-// Sharded.Snapshot reads all K shards with per-shard LL + VL
-// revalidation: each shard's value is individually atomic (each LL already
-// is; the VL pass re-reads shards that changed mid-snapshot, trading
+// Sharded.Snapshot reads all K shards with per-shard Read + VL
+// revalidation: each shard's value is individually atomic (each Read
+// already is; the VL pass re-reads shards that changed mid-snapshot, trading
 // wait-freedom for freshness), but the K values are not cross-shard
 // linearizable. Words that must always move together still belong in one
 // shard (that keeps them on the per-key fast path); when values in
@@ -64,6 +64,17 @@
 // cross-shard transactions below instead of giving up the sharding. The
 // E8/E9 experiments (cmd/llscbench) quantify the throughput gain vs K and
 // the registry's overhead.
+//
+// Reads write no shared memory. Sharded's Read and Snapshot, the first
+// pass of SnapshotAtomic and the collect phase of UpdateMulti do not run
+// the paper's full LL, whose announcement, withdrawal and buffer store
+// only serve an SC that may follow. They load-link X, copy the buffer it
+// names and validate X: W+2 steps. An unchanged X proves the copy is the
+// current value (the zero-change case of the paper's Lemma 4), so such a
+// read linearizes exactly like an LL. Only when X moved does the read
+// fall back to the full LL, so it stays wait-free on its shard. Such a
+// read's link validates but never licenses an SC; read-modify-writes
+// start with LL, as on Object, whose API is LL/SC/VL only.
 //
 // # Cross-shard atomic transactions
 //
@@ -81,7 +92,7 @@
 // encounters a mid-commit transaction helps it finish, so a stalled (or
 // crashed) writer never blocks others — the layer is lock-free, though
 // not wait-free like per-key operations. SnapshotAtomic first tries
-// optimistic double collects (LL all shards, then VL all shards; if
+// optimistic double collects (Read all shards, then VL all shards; if
 // nothing moved in between, the values form a consistent cut) and falls
 // back to the descriptor path under sustained writes. Cost model: a
 // per-key Update pays one LL/SC round on one shard; UpdateMulti pays two
@@ -105,8 +116,8 @@
 // request ids for pipelining: many requests ride one connection
 // concurrently and responses may return out of order. The server
 // gathers each connection's pipelined requests into batches executed
-// through a single registry acquisition (grouping single-key operations
-// by target shard); the client coalesces concurrent callers' requests
+// in arrival order through a single registry acquisition; the client
+// coalesces concurrent callers' requests
 // into few syscalls with no explicit batch API. Because closures do not
 // travel, remote updates are declarative: word-wise Add (wrapping) or
 // Set, single- or multi-key.

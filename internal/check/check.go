@@ -24,6 +24,9 @@ const (
 	OpSC
 	// OpVL is a validate; OK holds its result.
 	OpVL
+	// OpRead is a store-free read; Ret holds the value it returned. It
+	// links like an LL for VL, but SC fails until the next LL.
+	OpRead
 )
 
 // String returns the kind's name.
@@ -35,6 +38,8 @@ func (k Kind) String() string {
 		return "SC"
 	case OpVL:
 		return "VL"
+	case OpRead:
+		return "Read"
 	default:
 		return "?"
 	}
@@ -46,13 +51,13 @@ func (k Kind) String() string {
 type Op struct {
 	// Proc is the process id that performed the operation.
 	Proc int
-	// Kind is LL, SC or VL.
+	// Kind is LL, SC, VL or Read.
 	Kind Kind
 	// Arg is the value an SC tried to write (unused otherwise).
 	Arg string
-	// Ret is the value an LL returned (unused otherwise).
+	// Ret is the value an LL or Read returned (unused otherwise).
 	Ret string
-	// OK is the reported result of an SC or VL (unused for LL).
+	// OK is the reported result of an SC or VL (unused for LL and Read).
 	OK bool
 	// Inv and Res are invocation and response timestamps from any
 	// monotonic clock shared by all processes; Res must be > Inv, and
@@ -64,6 +69,8 @@ func (o Op) String() string {
 	switch o.Kind {
 	case OpLL:
 		return fmt.Sprintf("p%d.LL()=%s@[%d,%d]", o.Proc, o.Ret, o.Inv, o.Res)
+	case OpRead:
+		return fmt.Sprintf("p%d.Read()=%s@[%d,%d]", o.Proc, o.Ret, o.Inv, o.Res)
 	case OpSC:
 		return fmt.Sprintf("p%d.SC(%s)=%v@[%d,%d]", o.Proc, o.Arg, o.OK, o.Inv, o.Res)
 	default:
@@ -80,11 +87,13 @@ const MaxOps = 64
 
 // specState is the sequential LL/SC/VL object state: the current value and,
 // per process, whether its link is still valid (no successful SC since its
-// last LL). This compact form makes the spec Markovian in (value, links),
-// which the memoization key exploits.
+// last LL or Read) and whether that link came from a Read. This compact
+// form makes the spec Markovian in (value, links, reads), which the
+// memoization key exploits.
 type specState struct {
 	value string
 	links uint64 // bit p set <=> process p's link is valid
+	reads uint64 // bit p set <=> process p's latest LL-or-Read was a Read
 }
 
 // CheckLLSC reports whether h is linearizable with respect to the LL/SC/VL
@@ -195,14 +204,19 @@ func (c *checker) search(mask uint64, st specState, next map[int]int) bool {
 func applySpec(st specState, op Op) (specState, bool) {
 	bit := uint64(1) << op.Proc
 	switch op.Kind {
-	case OpLL:
+	case OpLL, OpRead:
 		if op.Ret != st.value {
 			return st, false
 		}
 		st.links |= bit
+		if op.Kind == OpRead {
+			st.reads |= bit
+		} else {
+			st.reads &^= bit
+		}
 		return st, true
 	case OpSC:
-		want := st.links&bit != 0
+		want := st.links&bit != 0 && st.reads&bit == 0
 		if op.OK != want {
 			return st, false
 		}
@@ -223,5 +237,5 @@ func applySpec(st specState, op Op) (specState, bool) {
 }
 
 func stateKey(mask uint64, st specState) string {
-	return fmt.Sprintf("%x|%x|%s", mask, st.links, st.value)
+	return fmt.Sprintf("%x|%x|%x|%s", mask, st.links, st.reads, st.value)
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mwllsc"
+	"mwllsc/internal/core"
+	"mwllsc/internal/mem"
 )
 
 // seqOps builds a strictly sequential history from (proc, kind, ...) steps.
@@ -46,6 +48,42 @@ func TestSequentialLegal(t *testing.T) {
 	)
 	if err := CheckLLSC(h, "0"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReadSpec(t *testing.T) {
+	legal := sequential(
+		step{proc: 0, kind: OpRead, ret: "0"},
+		step{proc: 0, kind: OpVL, ok: true},
+		step{proc: 0, kind: OpSC, arg: "1", ok: false}, // a Read's link never licenses SC
+		step{proc: 1, kind: OpLL, ret: "0"},
+		step{proc: 1, kind: OpSC, arg: "2", ok: true},
+		step{proc: 0, kind: OpVL, ok: false}, // the Read's link is broken
+		step{proc: 0, kind: OpRead, ret: "2"},
+		step{proc: 0, kind: OpLL, ret: "2"},
+		step{proc: 0, kind: OpSC, arg: "3", ok: true}, // an LL re-licenses SC
+	)
+	if err := CheckLLSC(legal, "0"); err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]History{
+		"SC after Read succeeded": sequential(
+			step{proc: 0, kind: OpRead, ret: "0"},
+			step{proc: 0, kind: OpSC, arg: "1", ok: true},
+		),
+		"stale Read": sequential(
+			step{proc: 0, kind: OpLL, ret: "0"},
+			step{proc: 0, kind: OpSC, arg: "1", ok: true},
+			step{proc: 1, kind: OpRead, ret: "0"},
+		),
+		"VL after Read false with no SC": sequential(
+			step{proc: 0, kind: OpRead, ret: "0"},
+			step{proc: 0, kind: OpVL, ok: false},
+		),
+	} {
+		if err := CheckLLSC(h, "0"); err == nil {
+			t.Errorf("%s: accepted an illegal history", name)
+		}
 	}
 }
 
@@ -234,6 +272,61 @@ func TestRecorderAgainstRealObject(t *testing.T) {
 					ok := h.SC(next)
 					res = rec.End()
 					rec.RecordSC(p, strconv.FormatUint(id, 10), ok, inv, res)
+				}
+			}(p)
+		}
+		wg.Wait()
+		if err := CheckLLSC(rec.History(), "0"); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
+// TestRecorderReadsAgainstRealObject is TestRecorderAgainstRealObject with
+// a Read, and the VL that follows it, before every LL: each recorded
+// history — Reads included — must be linearizable.
+func TestRecorderReadsAgainstRealObject(t *testing.T) {
+	const (
+		n      = 3
+		w      = 4
+		opsPer = 4
+		rounds = 200
+	)
+	initial := make([]uint64, w)
+	for j := range initial {
+		initial[j] = uint64(j)
+	}
+	for round := 0; round < rounds; round++ {
+		obj, err := core.New(mem.NewReal(n, mem.SubstrateTagged), n, w, initial, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := NewRecorder(n)
+		var wg sync.WaitGroup
+		for p := 0; p < n; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				v := make([]uint64, w)
+				next := make([]uint64, w)
+				for i := 0; i < opsPer; i++ {
+					inv := rec.Begin()
+					obj.Read(p, v)
+					rec.RecordRead(p, PatternValue(v), inv, rec.End())
+					inv = rec.Begin()
+					ok := obj.VL(p)
+					rec.RecordVL(p, ok, inv, rec.End())
+
+					inv = rec.Begin()
+					obj.LL(p, v)
+					rec.RecordLL(p, PatternValue(v), inv, rec.End())
+					id := uint64(1 + p*1000 + i)
+					for j := range next {
+						next[j] = id + uint64(j)
+					}
+					inv = rec.Begin()
+					ok = obj.SC(p, next)
+					rec.RecordSC(p, strconv.FormatUint(id, 10), ok, inv, rec.End())
 				}
 			}(p)
 		}

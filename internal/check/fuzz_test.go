@@ -16,7 +16,7 @@ func FuzzCheckLLSCNeverPanics(f *testing.F) {
 		clock := int64(0)
 		for i := 0; i+2 < len(raw) && len(h) < 24; i += 3 {
 			proc := int(raw[i] % 4)
-			kind := Kind(raw[i+1]%3) + 1
+			kind := Kind(raw[i+1]%4) + 1
 			arg := strconv.Itoa(int(raw[i+2] % 8))
 			overlap := raw[i+2]&0x80 != 0
 			inv := clock
@@ -27,7 +27,7 @@ func FuzzCheckLLSCNeverPanics(f *testing.F) {
 			}
 			op := Op{Proc: proc, Kind: kind, Inv: inv, Res: res, OK: raw[i+2]&1 == 1}
 			switch kind {
-			case OpLL:
+			case OpLL, OpRead:
 				op.Ret = arg
 			case OpSC:
 				op.Arg = arg

@@ -11,11 +11,23 @@ import (
 // construction), then stretching the intervals so that adjacent operations
 // overlap. CheckLLSC must accept every such history.
 func genLegalHistory(rng *rand.Rand, nproc, nops int) History {
+	return genHistory(rng, nproc, nops, false)
+}
+
+// genHistory is genLegalHistory, with Reads among the operations when
+// reads is true: a Read returns the value and links for VL, and an SC
+// after it fails until the process's next LL.
+func genHistory(rng *rand.Rand, nproc, nops int, reads bool) History {
 	type state struct {
 		value string
 		links map[int]bool
+		read  map[int]bool
 	}
-	st := state{value: "0", links: map[int]bool{}}
+	st := state{value: "0", links: map[int]bool{}, read: map[int]bool{}}
+	kinds := 3
+	if reads {
+		kinds = 4
+	}
 	var h History
 	nextVal := 1
 	for i := 0; i < nops; i++ {
@@ -37,12 +49,17 @@ func genLegalHistory(rng *rand.Rand, nproc, nops int) History {
 		if res <= inv {
 			res = inv + 1
 		}
-		switch rng.Intn(3) {
+		switch rng.Intn(kinds) {
 		case 0:
 			h = append(h, Op{Proc: p, Kind: OpLL, Ret: st.value, Inv: inv, Res: res})
 			st.links[p] = true
+			st.read[p] = false
+		case 3:
+			h = append(h, Op{Proc: p, Kind: OpRead, Ret: st.value, Inv: inv, Res: res})
+			st.links[p] = true
+			st.read[p] = true
 		case 1:
-			ok := st.links[p]
+			ok := st.links[p] && !st.read[p]
 			arg := strconv.Itoa(nextVal)
 			nextVal++
 			if ok {
@@ -65,6 +82,18 @@ func TestCheckerAcceptsGeneratedLegalHistories(t *testing.T) {
 		nproc := 1 + rng.Intn(4)
 		nops := 1 + rng.Intn(20)
 		h := genLegalHistory(rng, nproc, nops)
+		if err := CheckLLSC(h, "0"); err != nil {
+			t.Fatalf("seed %d: legal history rejected: %v", seed, err)
+		}
+	}
+}
+
+// TestCheckerAcceptsGeneratedReadHistories is the soundness property with
+// Reads in the mix.
+func TestCheckerAcceptsGeneratedReadHistories(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := genHistory(rng, 1+rng.Intn(4), 1+rng.Intn(20), true)
 		if err := CheckLLSC(h, "0"); err != nil {
 			t.Fatalf("seed %d: legal history rejected: %v", seed, err)
 		}

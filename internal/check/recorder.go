@@ -32,6 +32,11 @@ func (r *Recorder) RecordLL(p int, ret string, inv, res int64) {
 	r.slots[p] = append(r.slots[p], Op{Proc: p, Kind: OpLL, Ret: ret, Inv: inv, Res: res})
 }
 
+// RecordRead records a completed Read by process p that returned value ret.
+func (r *Recorder) RecordRead(p int, ret string, inv, res int64) {
+	r.slots[p] = append(r.slots[p], Op{Proc: p, Kind: OpRead, Ret: ret, Inv: inv, Res: res})
+}
+
 // RecordSC records a completed SC by process p that tried to write arg.
 func (r *Recorder) RecordSC(p int, arg string, ok bool, inv, res int64) {
 	r.slots[p] = append(r.slots[p], Op{Proc: p, Kind: OpSC, Arg: arg, OK: ok, Inv: inv, Res: res})

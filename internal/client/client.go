@@ -549,6 +549,11 @@ func (c *Client) updateMulti(ctx context.Context, mode wire.Mode, keys []uint64,
 	if len(args) != len(keys) {
 		return nil, fmt.Errorf("client: %d keys but %d arg rows", len(keys), len(args))
 	}
+	// The wire's key count is a uint16; checking here keeps a wrapped
+	// count from ever reaching the server.
+	if len(keys) == 0 || len(keys) > wire.MaxMultiKeys {
+		return nil, fmt.Errorf("client: updatemulti with %d keys, want 1..%d", len(keys), wire.MaxMultiKeys)
+	}
 	flat := make([]uint64, 0, len(keys)*wordsOf(args))
 	for _, row := range args {
 		flat = append(flat, row...)
@@ -701,6 +706,12 @@ func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, erro
 
 	req.ID = id
 	sr := sendReq{payload: wire.AppendRequest(nil, req)}
+	if len(sr.payload) > wire.MaxFrame {
+		// Nothing was sent and the connection stays up: the writer would
+		// otherwise fail the frame and tear down every caller's requests.
+		cn.forget(id)
+		return nil, fmt.Errorf("client: request payload %d bytes exceeds wire.MaxFrame %d", len(sr.payload), wire.MaxFrame)
+	}
 	var tEnq time.Time
 	if tr != nil {
 		sr.traced = p

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -458,4 +459,61 @@ func TestDecodeErrorCompletesPending(t *testing.T) {
 	if ctx.Err() != nil {
 		t.Fatalf("caller hung until deadline instead of completing with the decode error (%v)", err)
 	}
+}
+
+// requireLocalReject runs a request the wire cannot carry on a
+// one-connection, zero-retry client: it must fail locally with a plain
+// error — not ErrConnBroken, not retried, never seen by the server — and
+// the connection must keep serving.
+func requireLocalReject(t *testing.T, call func(context.Context, *client.Client) error) {
+	t.Helper()
+	srv, addr := startServer(t, 4, 2, 1)
+	c := dial(t, addr, client.WithConns(1), client.WithRetries(0))
+	ctx := context.Background()
+	err := call(ctx, c)
+	if err == nil {
+		t.Fatal("oversized request succeeded, want an error")
+	}
+	if errors.Is(err, client.ErrConnBroken) || errors.Is(err, client.ErrRetriesExhausted) {
+		t.Fatalf("%v, want a plain local error", err)
+	}
+	if err := c.Ping(ctx); err != nil {
+		t.Fatalf("connection did not survive: Ping: %v", err)
+	}
+	if c.Retries() != 0 || c.Reconnects() != 0 {
+		t.Fatalf("retries %d, reconnects %d; want 0 and 0", c.Retries(), c.Reconnects())
+	}
+	if bad := srv.Stats().BadReqs; bad != 0 {
+		t.Fatalf("the server rejected %d requests; the oversized one must never be sent", bad)
+	}
+}
+
+// TestSetMultiBeyondMaxFrameLeavesConnUp: 2048 keys of 512 words encode
+// past wire.MaxFrame.
+func TestSetMultiBeyondMaxFrameLeavesConnUp(t *testing.T) {
+	keys := make([]uint64, 2048)
+	rows := make([][]uint64, len(keys))
+	for i := range keys {
+		keys[i] = uint64(i)
+		rows[i] = make([]uint64, 512)
+	}
+	requireLocalReject(t, func(ctx context.Context, c *client.Client) error {
+		_, err := c.SetMulti(ctx, keys, rows)
+		return err
+	})
+}
+
+// TestAddMultiBeyondMaxKeysLeavesConnUp: 70,000 keys would wrap the
+// wire's uint16 key count.
+func TestAddMultiBeyondMaxKeysLeavesConnUp(t *testing.T) {
+	keys := make([]uint64, 70_000)
+	rows := make([][]uint64, len(keys))
+	for i := range keys {
+		keys[i] = uint64(i)
+		rows[i] = []uint64{1}
+	}
+	requireLocalReject(t, func(ctx context.Context, c *client.Client) error {
+		_, err := c.AddMulti(ctx, keys, rows)
+		return err
+	})
 }

@@ -25,6 +25,28 @@
 // s mod N) guarantees some process handed p a valid value before p finished
 // reading. Either way p holds a valid value after one O(W) pass.
 //
+// # Store-free reads
+//
+// LL pays for an SC that may follow: it announces in Help[p] (Line 1),
+// withdraws with an SC (Lines 8-9) and stores the value into p's own
+// buffer (Line 11) so a later SC can hand that buffer to a helped
+// process. A caller that only wants the current value needs none of it.
+// Read takes the zero-change case of Lemma 4's argument for Line 3's
+// copy: it load-links X, copies BUF[x.buf] and validates X, W+2 steps
+// that write no shared variable. If the VL succeeds, X did not change
+// between the LL and the VL, so BUF[x.buf] held the current value
+// throughout the copy. That buffer is not reused until 2N more
+// successful SCs (Lemma 3), and nobody owns it, so nothing wrote it while
+// it was read: the copy is valid and current at the VL. If the VL fails,
+// Read runs the full LL (Lines 1-11) instead and returns its value, so it
+// stays wait-free in O(W) steps.
+//
+// After a Read, VL(p) is meaningful: it returns true iff no successful SC
+// occurred since the Read's LL of X. SC(p) returns false, without a
+// shared step, until p's next LL: p's buffer does not hold the value the
+// Read returned, so Lines 14-16 could hand a stale buffer to a helped
+// process. Read-modify-write callers LL before they SC, as always.
+//
 // Line numbers in comments refer to Figure 2 of the paper.
 package core
 
@@ -71,14 +93,19 @@ type Debug struct {
 	// then mistakes stale Help contents for a handoff, which the checkers
 	// must flag.
 	SkipAnnounce bool
+	// SkipReadValidate omits Read's VL of X and always returns the copy.
+	// A copy that overlapped a change of X is then returned as current,
+	// which the read invariant and the linearizability checker must flag.
+	SkipReadValidate bool
 }
 
 // localState is the paper's per-process persistent state (mybuf_p, x_p),
 // padded so adjacent processes do not share a cache line.
 type localState struct {
-	mybuf int    // index of the buffer currently owned by this process
-	x     uint64 // packed (buf, seq) read from X by the latest LL
-	_     [48]byte
+	mybuf    int    // index of the buffer currently owned by this process
+	x        uint64 // packed (buf, seq) read from X by the latest LL or Read
+	readOnly bool   // the latest LL-or-Read was a Read: SC must fail
+	_        [47]byte
 }
 
 // New creates the object for n processes and w-word values, with the given
@@ -143,6 +170,7 @@ func (o *Object) LL(p int, retval []uint64) {
 		panic(fmt.Sprintf("core: LL retval has %d words, want %d", len(retval), o.w))
 	}
 	lp := &o.local[p]
+	lp.readOnly = false
 	if o.traced {
 		o.memory.Trace(p, mem.Event{Kind: mem.EvLLStart, Arg: lp.mybuf})
 	}
@@ -213,9 +241,40 @@ func (o *Object) LL(p int, retval []uint64) {
 	}
 }
 
+// Read stores the current value of the object into dst without writing
+// shared memory: LL(X), copy BUF[x.buf], VL(X), W+2 steps. If X moved
+// during the copy it runs the full LL instead, so it is wait-free in O(W)
+// steps. After Read, VL(p) reports whether the value is still current and
+// SC(p) returns false until p's next LL; see the package comment for the
+// argument. len(dst) must equal W.
+func (o *Object) Read(p int, dst []uint64) {
+	if len(dst) != o.w {
+		panic(fmt.Sprintf("core: Read dst has %d words, want %d", len(dst), o.w))
+	}
+	lp := &o.local[p]
+	if o.traced {
+		o.memory.Trace(p, mem.Event{Kind: mem.EvReadStart})
+	}
+	lp.x = o.x.LL(p)
+	o.buf.ReadBuf(p, o.geom.XBuf(lp.x), dst)
+	valid := o.debug.SkipReadValidate || o.x.VL(p)
+	if !valid {
+		o.LL(p, dst)
+	}
+	lp.readOnly = true
+	if o.traced {
+		arg := 0
+		if valid {
+			arg = 1
+		}
+		o.memory.Trace(p, mem.Event{Kind: mem.EvReadDone, Arg: arg})
+	}
+}
+
 // SC performs procedure SC(p, O, v) (Figure 2, Lines 12-22): it writes v
 // and returns true iff no process performed a successful SC since p's
-// latest LL. len(v) must equal W. Runs in O(W) steps.
+// latest LL. It returns false at once if p's latest LL-or-Read was a Read.
+// len(v) must equal W. Runs in O(W) steps.
 func (o *Object) SC(p int, v []uint64) bool {
 	if len(v) != o.w {
 		panic(fmt.Sprintf("core: SC value has %d words, want %d", len(v), o.w))
@@ -223,6 +282,16 @@ func (o *Object) SC(p int, v []uint64) bool {
 	lp := &o.local[p]
 	if o.traced {
 		o.memory.Trace(p, mem.Event{Kind: mem.EvSCStart, Arg: lp.mybuf})
+	}
+	if lp.readOnly {
+		// A Read's link licenses VL, never SC (see the package comment).
+		if o.stats != nil {
+			o.stats.SCTotal.Add(1)
+		}
+		if o.traced {
+			o.memory.Trace(p, mem.Event{Kind: mem.EvSCDone, Arg: 0})
+		}
+		return false
 	}
 	s := o.geom.XSeq(lp.x)
 	b := uint64(o.geom.XBuf(lp.x))
@@ -286,8 +355,8 @@ func (o *Object) SC(p int, v []uint64) bool {
 }
 
 // VL performs procedure VL(p, O) (Figure 2, Line 23): it returns true iff
-// no process performed a successful SC since p's latest LL. Runs in O(1)
-// steps.
+// no process performed a successful SC since p's latest LL or Read. Runs
+// in O(1) steps.
 func (o *Object) VL(p int) bool {
 	if o.traced {
 		o.memory.Trace(p, mem.Event{Kind: mem.EvVLStart})

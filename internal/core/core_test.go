@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mwllsc/internal/mem"
@@ -169,6 +170,52 @@ func TestSingleProcessObject(t *testing.T) {
 	}
 }
 
+// TestReadContract pins the sequential contract of Read: it returns the
+// current value, VL honours its link, SC fails until the next LL, and the
+// value is untouched by the rejected SC.
+func TestReadContract(t *testing.T) {
+	o := newObject(t, 2, 3, words(1, 2, 3))
+	v := make([]uint64, 3)
+
+	o.Read(0, v)
+	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
+		t.Fatalf("Read = %v, want [1 2 3]", v)
+	}
+	if !o.VL(0) {
+		t.Fatal("VL after quiet Read = false, want true")
+	}
+	if o.SC(0, words(9, 9, 9)) || o.SC(0, words(9, 9, 9)) {
+		t.Fatal("SC after Read succeeded, want failure until the next LL")
+	}
+	if !o.VL(0) {
+		t.Fatal("VL after rejected SC = false, want true (nothing changed)")
+	}
+
+	// An LL after a Read licenses SC again.
+	o.LL(0, v)
+	if v[0] != 1 {
+		t.Fatalf("LL after Read = %v, want [1 2 3]", v)
+	}
+	if !o.SC(0, words(4, 5, 6)) {
+		t.Fatal("SC after LL following Read failed, want success")
+	}
+
+	// Another process's SC invalidates a Read's link.
+	o.Read(1, v)
+	o.LL(0, v)
+	if !o.SC(0, words(7, 8, 9)) {
+		t.Fatal("SC(0) failed")
+	}
+	if o.VL(1) {
+		t.Fatal("VL(1) after an interfering SC = true, want false")
+	}
+	o.Read(1, v)
+	if v[0] != 7 || v[1] != 8 || v[2] != 9 {
+		t.Fatalf("Read = %v, want [7 8 9]", v)
+	}
+	assertPanics(t, "Read short", func() { o.Read(0, make([]uint64, 2)) })
+}
+
 func TestLLPanicsOnWrongWidth(t *testing.T) {
 	o := newObject(t, 2, 3, words(0, 0, 0))
 	assertPanics(t, "LL short", func() { o.LL(0, make([]uint64, 2)) })
@@ -250,15 +297,26 @@ func TestConcurrentCounterInvariant(t *testing.T) {
 // TestConcurrentDistinctPatterns has each successful SC write a pattern
 // derived from a fresh id so any buffer mix-up or stale read surfaces as a
 // pattern violation: word i must equal base+i for some base that was
-// actually written.
+// actually written. Reader processes call Read throughout, so a Read that
+// returned a copy overlapping a buffer reuse shows as mixed words too.
 func TestConcurrentDistinctPatterns(t *testing.T) {
 	const (
-		n   = 8
-		w   = 8
-		ops = 1500
+		n       = 8
+		readers = 2
+		w       = 8
+		ops     = 1500
 	)
-	o := newObject(t, n, w, patternOf(0, w))
+	o := newObject(t, n+readers, w, patternOf(0, w))
 	var wg sync.WaitGroup
+	stop := startReaders(t, o, n, readers, func(v []uint64) bool {
+		for j := range v {
+			if v[j] != v[0]+uint64(j) {
+				return false
+			}
+		}
+		return true
+	})
+	defer stop()
 	for p := 0; p < n; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -279,6 +337,46 @@ func TestConcurrentDistinctPatterns(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+}
+
+// startReaders runs Read on processes first..first+count-1 until the
+// returned stop is called, failing the test on any value valid rejects.
+// Every 16th Read is followed by an SC, which the Read contract says must
+// fail. stop waits for the readers and fails the test if none of them
+// completed a Read.
+func startReaders(t *testing.T, o *Object, first, count int, valid func([]uint64) bool) (stop func()) {
+	t.Helper()
+	var (
+		wg    sync.WaitGroup
+		done  atomic.Bool
+		reads atomic.Int64
+	)
+	for p := first; p < first+count; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			v := make([]uint64, o.W())
+			for i := 0; !done.Load(); i++ {
+				o.Read(p, v)
+				reads.Add(1)
+				if !valid(v) {
+					t.Errorf("p%d: Read returned mixed words: %v", p, v)
+					return
+				}
+				if i%16 == 0 && o.SC(p, v) {
+					t.Errorf("p%d: SC after Read succeeded", p)
+					return
+				}
+			}
+		}(p)
+	}
+	return func() {
+		done.Store(true)
+		wg.Wait()
+		if reads.Load() == 0 {
+			t.Error("no reader completed a Read")
+		}
+	}
 }
 
 func patternOf(base uint64, w int) []uint64 {

@@ -9,8 +9,9 @@ import (
 )
 
 // TestStressLargeConfigs runs the counter invariant at scales beyond the
-// regular tests (more processes, wider values, both substrates). Skipped
-// with -short.
+// regular tests (more processes, wider values, both substrates), with two
+// extra processes calling Read throughout: every Read must see all words
+// equal. Skipped with -short.
 func TestStressLargeConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped with -short")
@@ -29,11 +30,20 @@ func TestStressLargeConfigs(t *testing.T) {
 		cfg := cfg
 		t.Run(fmt.Sprintf("n%d_w%d_%s", cfg.n, cfg.w, cfg.substrate), func(t *testing.T) {
 			t.Parallel()
+			const readers = 2
 			var stats Stats
-			o, err := New(mem.NewReal(cfg.n, cfg.substrate), cfg.n, cfg.w, make([]uint64, cfg.w), &stats)
+			o, err := New(mem.NewReal(cfg.n+readers, cfg.substrate), cfg.n+readers, cfg.w, make([]uint64, cfg.w), &stats)
 			if err != nil {
 				t.Fatal(err)
 			}
+			stop := startReaders(t, o, cfg.n, readers, func(v []uint64) bool {
+				for j := 1; j < len(v); j++ {
+					if v[j] != v[0] {
+						return false
+					}
+				}
+				return true
+			})
 			var wg sync.WaitGroup
 			successes := make([]int64, cfg.n)
 			for p := 0; p < cfg.n; p++ {
@@ -60,6 +70,7 @@ func TestStressLargeConfigs(t *testing.T) {
 				}(p)
 			}
 			wg.Wait()
+			stop()
 			var total int64
 			for _, s := range successes {
 				total += s

@@ -113,6 +113,11 @@ const (
 	EvVLStart
 	// EvVLDone marks return from VL. Arg: 1 if VL returned true, else 0.
 	EvVLDone
+	// EvReadStart marks entry into the Read procedure. Arg: unused.
+	EvReadStart
+	// EvReadDone marks return from Read. Arg: 1 if the copy validated
+	// (the W+2-step path), 0 if Read fell back to a full LL.
+	EvReadDone
 )
 
 // String returns a short name for the event kind.
@@ -142,6 +147,10 @@ func (k EventKind) String() string {
 		return "VLStart"
 	case EvVLDone:
 		return "VLDone"
+	case EvReadStart:
+		return "ReadStart"
+	case EvReadDone:
+		return "ReadDone"
 	default:
 		return "?"
 	}

@@ -111,6 +111,7 @@ func TestEventKindString(t *testing.T) {
 	kinds := []EventKind{
 		EvLLStart, EvLLAnnounced, EvLLWithdrawn, EvLLDone,
 		EvSCStart, EvSCHandoff, EvSCPublished, EvSCDone, EvVLStart, EvVLDone,
+		EvReadStart, EvReadDone,
 	}
 	seen := make(map[string]bool, len(kinds))
 	for _, k := range kinds {

@@ -36,6 +36,7 @@ import (
 // memory, so the per-key fast path pays exactly one extra atomic load.
 type Map struct {
 	shards  []mwobj.MW
+	reads   []func(p int, dst []uint64) // reads[i] is shard i's Read, else its LL
 	reg     *Registry
 	eng     *txn.Engine
 	repKeys []uint64 // repKeys[i] is owned by shard i; see KeyForShard
@@ -111,7 +112,7 @@ func NewMap(k, n, w int, opts ...MapOption) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Map{shards: make([]mwobj.MW, k), reg: reg, k: k, n: n, w: w}
+	m := &Map{shards: make([]mwobj.MW, k), reads: make([]func(int, []uint64), k), reg: reg, k: k, n: n, w: w}
 	for i := range m.shards {
 		obj, err := cfg.factory(n, w, cfg.initial)
 		if err != nil {
@@ -122,6 +123,12 @@ func NewMap(k, n, w int, opts ...MapOption) (*Map, error) {
 				obj.N(), obj.W(), n, w)
 		}
 		m.shards[i] = obj
+		// The paper's object reads store-free; a baseline reads with LL.
+		// Resolved once here so the read path never type-asserts.
+		m.reads[i] = obj.LL
+		if c, ok := obj.(*core.Object); ok {
+			m.reads[i] = c.Read
+		}
 	}
 	eng, err := txn.New(mapShards{m}, n)
 	if err != nil {
@@ -149,6 +156,7 @@ type mapShards struct{ m *Map }
 func (s mapShards) Shards() int                    { return s.m.k }
 func (s mapShards) Words() int                     { return s.m.w }
 func (s mapShards) LL(p, i int, dst []uint64)      { s.m.shards[i].LL(p, dst) }
+func (s mapShards) Read(p, i int, dst []uint64)    { s.m.reads[i](p, dst) }
 func (s mapShards) SC(p, i int, src []uint64) bool { return s.m.shards[i].SC(p, src) }
 func (s mapShards) VL(p, i int) bool               { return s.m.shards[i].VL(p) }
 
@@ -355,8 +363,10 @@ func (h *MapHandle) UpdateMulti(keys []uint64, f func(vals [][]uint64)) int {
 }
 
 // Read copies the current value of the shard owning key into dst (len(dst)
-// must be W) — an atomic multiword read. Lock-free: it only retries while
-// a multi-key transaction is mid-commit on the shard (helping it finish).
+// must be W) — an atomic multiword read. On the paper's object it writes
+// no shared memory (core.Object.Read); a baseline shard reads with LL.
+// Lock-free: it only retries while a multi-key transaction is mid-commit
+// on the shard (helping it finish).
 func (h *MapHandle) Read(key uint64, dst []uint64) {
 	h.live()
 	h.m.eng.Read(h.p, h.m.ShardIndex(key), dst)
@@ -395,7 +405,7 @@ func (h *MapHandle) Snapshot(dst [][]uint64) {
 // SnapshotAtomic reads every shard into dst (K rows of W words, see
 // NewSnapshotBuffer) as one cross-shard linearizable snapshot: all K
 // values coexisted at a single instant during the call. It first tries a
-// bounded number of optimistic double collects (LL every shard, then VL
+// bounded number of optimistic double collects (Read every shard, then VL
 // every shard — if nothing moved between the passes, the values form a
 // cut) and under sustained write traffic falls back to the transaction
 // layer, which briefly locks all shards in order. The return value is the

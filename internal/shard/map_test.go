@@ -432,3 +432,63 @@ func TestSnapshotBadBuffer(t *testing.T) {
 	}()
 	m.Snapshot(make([][]uint64, 3))
 }
+
+// TestReadPathsZeroAlloc guards the read paths on a quiet map: Read,
+// ReadShard and Snapshot reach the paper's store-free Read through a
+// function resolved once in NewMap, so none of them allocates.
+func TestReadPathsZeroAlloc(t *testing.T) {
+	m, err := NewMap(4, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.Acquire()
+	defer h.Release()
+	h.Update(3, func(v []uint64) { v[0] = 11 })
+	dst := make([]uint64, m.W())
+	snap := m.NewSnapshotBuffer()
+	for name, f := range map[string]func(){
+		"Read":      func() { h.Read(3, dst) },
+		"ReadShard": func() { h.ReadShard(m.ShardIndex(3), dst) },
+		"Snapshot":  func() { h.Snapshot(snap) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+	if h.Read(3, dst); dst[0] != 11 {
+		t.Fatalf("Read = %v, want 11 in word 0", dst)
+	}
+	if snap[m.ShardIndex(3)][0] != 11 {
+		t.Fatalf("Snapshot row = %v, want 11 in word 0", snap[m.ShardIndex(3)])
+	}
+}
+
+// TestReadThenUpdateSameShard interleaves store-free reads with updates on
+// one handle: a Read leaves a link that rejects SC, so the Update after it
+// must LL afresh and still commit on its first attempt.
+func TestReadThenUpdateSameShard(t *testing.T) {
+	for name, opts := range map[string][]MapOption{
+		"paper":  nil,
+		"lockmw": {WithFactory(func(n, w int, initial []uint64) (mwobj.MW, error) { return baseline.NewLockMW(n, w, initial) })},
+	} {
+		m, err := NewMap(2, 1, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := m.Acquire()
+		dst := make([]uint64, 2)
+		for i := uint64(0); i < 10; i++ {
+			h.Read(5, dst)
+			if dst[0] != i {
+				t.Fatalf("%s: Read = %v, want %d in word 0", name, dst, i)
+			}
+			if a := h.Update(5, func(v []uint64) { v[0]++ }); a != 1 {
+				t.Fatalf("%s: Update after Read took %d attempts, want 1", name, a)
+			}
+			if a := h.UpdateMulti([]uint64{5, 6}, func(vals [][]uint64) { vals[1][1]++ }); a != 1 {
+				t.Fatalf("%s: UpdateMulti after Read took %d attempts, want 1", name, a)
+			}
+		}
+		h.Release()
+	}
+}

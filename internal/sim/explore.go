@@ -68,11 +68,12 @@ func contains(xs []int, x int) bool {
 
 // ExploreConfig bounds a systematic schedule exploration.
 type ExploreConfig struct {
-	// N, W, OpsPerProc, Seed, VLEvery, TornReads configure each run as in
-	// Config.
+	// N, W, OpsPerProc, Seed, VLEvery, ReadEvery, TornReads configure
+	// each run as in Config.
 	N, W, OpsPerProc int
 	Seed             int64
 	VLEvery          int
+	ReadEvery        int
 	TornReads        bool
 	// MaxPreemptions is the context-switch bound: every schedule that
 	// deviates from non-preemptive execution at most this many times is
@@ -135,7 +136,7 @@ func explore(cfg ExploreConfig, prefix []int, budget int, res *ExploreResult) er
 	policy := NewScripted(prefix)
 	run, err := Run(Config{
 		N: cfg.N, W: cfg.W, OpsPerProc: cfg.OpsPerProc, Seed: cfg.Seed,
-		VLEvery: cfg.VLEvery, TornReads: cfg.TornReads,
+		VLEvery: cfg.VLEvery, ReadEvery: cfg.ReadEvery, TornReads: cfg.TornReads,
 		Policy: policy, Debug: cfg.Debug,
 	})
 	if err != nil {

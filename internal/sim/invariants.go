@@ -22,6 +22,9 @@ import (
 //     next announcement.
 //   - Lemma 3: a buffer published by a successful SC is not written again
 //     until X changes at least 2N more times.
+//   - Read: a Read that returns its own copy (no fallback LL) does so
+//     only if X did not change since its LL of X — the zero-change case
+//     of Lemma 4 that makes the copy valid and current.
 //   - Exclusive buffer writers: no two processes are ever concurrently
 //     inside a WriteBuf of the same buffer (consequence of I1 the
 //     simulator's safe-register adversary relies on).
@@ -131,6 +134,10 @@ func (c *InvariantChecker) OnTrace(p int, ev mem.Event) {
 		}
 	case mem.EvSCHandoff, mem.EvSCPublished:
 		c.mybuf[p] = ev.Arg
+	case mem.EvReadDone:
+		if ev.Arg == 1 && !c.m.linked(mem.WordX, 0, p) {
+			c.failf("read: process %d returned its copy after X changed since its LL of X", p)
+		}
 	}
 }
 

@@ -42,13 +42,15 @@ type Observer interface {
 }
 
 // opAccounting tracks the in-flight operation of one process for step
-// bounds: kind and step counter at operation start.
+// bounds: the step counter at operation start. A Read keeps its own start
+// because its fallback runs a whole LL inside it.
 type opAccounting struct {
-	kind    mem.EventKind // EvLLStart, EvSCStart or EvVLStart; 0 if idle
-	startOf int
-	maxLL   int
-	maxSC   int
-	maxVL   int
+	startOf   int
+	readStart int
+	maxLL     int
+	maxSC     int
+	maxVL     int
+	maxRead   int
 }
 
 // NewMemory returns a simulated memory bound to sched. If tornReads is
@@ -96,6 +98,23 @@ func (m *Memory) MaxOpSteps() (ll, sc, vl int) {
 	return ll, sc, vl
 }
 
+// MaxReadSteps returns the maximum steps any process spent inside one
+// Read, its fallback LL included.
+func (m *Memory) MaxReadSteps() int {
+	r := 0
+	for i := range m.perProcOps {
+		r = max(r, m.perProcOps[i].maxRead)
+	}
+	return r
+}
+
+// linked reports whether process p's latest LL of a word is still valid,
+// without taking a step; invariant checkers call it from trace hooks.
+func (m *Memory) linked(kind mem.WordKind, idx, p int) bool {
+	w := m.words[wordKey{kind, idx}]
+	return w.links[p].ver == w.ver
+}
+
 // NewWord implements mem.Memory.
 func (m *Memory) NewWord(kind mem.WordKind, idx int, valueBits uint, init uint64) mem.Word {
 	w := &Word{
@@ -127,17 +146,17 @@ func (m *Memory) Trace(p int, ev mem.Event) {
 	a := &m.perProcOps[p]
 	switch ev.Kind {
 	case mem.EvLLStart, mem.EvSCStart, mem.EvVLStart:
-		a.kind = ev.Kind
 		a.startOf = m.sched.StepsOf(p)
 	case mem.EvLLDone:
 		a.maxLL = max(a.maxLL, m.sched.StepsOf(p)-a.startOf)
-		a.kind = 0
 	case mem.EvSCDone:
 		a.maxSC = max(a.maxSC, m.sched.StepsOf(p)-a.startOf)
-		a.kind = 0
 	case mem.EvVLDone:
 		a.maxVL = max(a.maxVL, m.sched.StepsOf(p)-a.startOf)
-		a.kind = 0
+	case mem.EvReadStart:
+		a.readStart = m.sched.StepsOf(p)
+	case mem.EvReadDone:
+		a.maxRead = max(a.maxRead, m.sched.StepsOf(p)-a.readStart)
 	}
 	for _, o := range m.observers {
 		o.OnTrace(p, ev)

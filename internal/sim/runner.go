@@ -28,6 +28,10 @@ type Config struct {
 	TornReads bool
 	// VLEvery inserts a VL after the LL every k-th round (0 = never).
 	VLEvery int
+	// ReadEvery makes every k-th round a read round (0 = never): a Read
+	// takes the LL's place, so the round's VL validates the Read and its
+	// SC must fail.
+	ReadEvery int
 	// MaxSteps bounds total steps (0 = a generous default).
 	MaxSteps int
 	// DisableInvariants skips invariant checking (for pure benchmarks).
@@ -55,6 +59,9 @@ type Result struct {
 	// inside one operation, across all processes — the empirical side of
 	// Theorem 1's O(W), O(W), O(1) bounds.
 	MaxLLSteps, MaxSCSteps, MaxVLSteps int
+	// MaxReadSteps is the worst case inside one Read: W+2 on its own
+	// path, plus at most MaxLLSteps when it falls back to a full LL.
+	MaxReadSteps int
 	// TornReads counts buffer-word reads that returned garbage.
 	TornReads int64
 	// Stats is the algorithm's internal event counters.
@@ -129,9 +136,15 @@ func Run(cfg Config) (*Result, error) {
 			memory.Sync(p) // start barrier: all further code runs inside granted windows
 			for i := 0; i < cfg.OpsPerProc; i++ {
 				inv := stamp()
-				obj.LL(p, v)
+				kind := check.OpLL
+				if cfg.ReadEvery > 0 && i%cfg.ReadEvery == 0 {
+					kind = check.OpRead
+					obj.Read(p, v)
+				} else {
+					obj.LL(p, v)
+				}
 				perProc[p] = append(perProc[p], check.Op{
-					Proc: p, Kind: check.OpLL, Ret: check.PatternValue(v),
+					Proc: p, Kind: kind, Ret: check.PatternValue(v),
 					Inv: inv, Res: stamp(),
 				})
 
@@ -172,6 +185,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Violations = errs
 	res.Steps = sched.Step()
 	res.MaxLLSteps, res.MaxSCSteps, res.MaxVLSteps = memory.MaxOpSteps()
+	res.MaxReadSteps = memory.MaxReadSteps()
 	res.TornReads = memory.TornReads()
 	res.Stats = stats.Snapshot()
 	for p := range perProc {

@@ -201,3 +201,46 @@ func TestTxnDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestTxnShardsRead pins the simulated substrate's Read contract — VL
+// honours its link, SC rejects it until the next LL — and checks that the
+// engine's collects and snapshots reach it.
+func TestTxnShardsRead(t *testing.T) {
+	sched := NewSched(1, NewRandom(1), 1000, nil)
+	s := NewTxnShards(sched, 1, 2, []uint64{3, 4})
+	errs := sched.Run([]func(int){func(p int) {
+		v := make([]uint64, 2)
+		s.Sync(p)
+		s.Read(p, 0, v)
+		if v[0] != 3 || v[1] != 4 {
+			t.Errorf("Read = %v, want [3 4]", v)
+		}
+		if !s.VL(p, 0) {
+			t.Error("VL after Read = false, want true")
+		}
+		if s.SC(p, 0, []uint64{5, 5}) {
+			t.Error("SC after Read succeeded, want failure until the next LL")
+		}
+		s.LL(p, 0, v)
+		if !s.SC(p, 0, []uint64{5, 5}) {
+			t.Error("SC after LL failed")
+		}
+	}})
+	if len(errs) > 0 {
+		t.Fatal(errs)
+	}
+
+	res, err := RunTxn(TxnConfig{N: 3, K: 4, W: 2, OpsPerProc: 5, Span: 2, SnapEvery: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	if res.Reads == 0 {
+		t.Fatal("the engine never called TxnShards.Read")
+	}
+	if err := check.CheckTxns(res.History, 4, txnInitial(4, 2)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // TxnShards is a simulated txn.ShardSet: K exact atomic multiword
-// LL/SC/VL shards (per-shard version counter, per-process links) whose
-// every operation costs one scheduler step. It also implements
+// LL/Read/SC/VL shards (per-shard version counter, per-process links)
+// whose every operation costs one scheduler step. It also implements
 // txn.Stepper, so the engine's own shared accesses — lock-word CASes and
 // descriptor status transitions — are scheduler steps too: a process can
 // be stalled or crashed between ANY two of the protocol's shared-memory
@@ -23,8 +23,10 @@ type TxnShards struct {
 	words int
 	vals  [][]uint64
 	vers  []uint64
-	links [][]uint64 // [shard][proc]: version at latest LL
+	links [][]uint64 // [shard][proc]: version at latest LL or Read
+	reads [][]bool   // [shard][proc]: the latest link came from a Read
 	scs   int64
+	nread int64
 }
 
 // NewTxnShards builds k simulated shards of the given width, each
@@ -37,11 +39,13 @@ func NewTxnShards(sched *Sched, k, words int, initial []uint64) *TxnShards {
 		vals:  make([][]uint64, k),
 		vers:  make([]uint64, k),
 		links: make([][]uint64, k),
+		reads: make([][]bool, k),
 	}
 	for i := range s.vals {
 		s.vals[i] = make([]uint64, words)
 		copy(s.vals[i], initial)
 		s.links[i] = make([]uint64, sched.n)
+		s.reads[i] = make([]bool, sched.n)
 	}
 	return s
 }
@@ -57,12 +61,23 @@ func (s *TxnShards) LL(p, i int, dst []uint64) {
 	s.sched.Yield(p)
 	copy(dst, s.vals[i])
 	s.links[i][p] = s.vers[i]
+	s.reads[i][p] = false
+}
+
+// Read implements txn.ShardSet; one scheduler step. It links like LL for
+// VL, but p's SC on shard i fails until p's next LL of it.
+func (s *TxnShards) Read(p, i int, dst []uint64) {
+	s.sched.Yield(p)
+	copy(dst, s.vals[i])
+	s.links[i][p] = s.vers[i]
+	s.reads[i][p] = true
+	s.nread++
 }
 
 // SC implements txn.ShardSet; one scheduler step.
 func (s *TxnShards) SC(p, i int, src []uint64) bool {
 	s.sched.Yield(p)
-	if s.links[i][p] != s.vers[i] {
+	if s.reads[i][p] || s.links[i][p] != s.vers[i] {
 		return false
 	}
 	copy(s.vals[i], src)
@@ -146,6 +161,9 @@ type TxnResult struct {
 	// Snapshots counts completed atomic snapshots; Fallbacks counts those
 	// that needed the descriptor path.
 	Snapshots, Fallbacks int64
+	// Reads counts the engine's store-free shard Reads (collects and
+	// snapshot first passes).
+	Reads int64
 	// Final holds each shard's user value after the run.
 	Final [][]uint64
 	// LocksLeft counts shards still carrying a held lock reference after
@@ -275,5 +293,6 @@ func RunTxn(cfg TxnConfig) (*TxnResult, error) {
 		res.Final[i] = shards.Value(i)
 	}
 	res.LocksLeft = eng.LockedShards()
+	res.Reads = shards.nread
 	return res, nil
 }

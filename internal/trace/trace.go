@@ -345,10 +345,12 @@ func (t *Tracer) Retire(s *Span) {
 	var w [spanWords]uint64
 	s.encode(&w)
 	total := s.Total
-	t.retired.Add(1)
 
 	slot := (t.next.Add(1) - 1) % uint64(len(t.recent))
 	t.recent[slot].store(&w)
+	// Counted after the store, so a reader that sees Retired >= n also
+	// finds the n-th span in the ring.
+	t.retired.Add(1)
 
 	t.exMu.Lock()
 	if total > t.exLat {

@@ -10,8 +10,9 @@
 // memory; a multi-key update then runs as a descriptor-based two-phase
 // commit:
 //
-//  1. Collect: read a stable (unlocked) value of every target shard and
-//     run the caller's function on a private copy.
+//  1. Collect: read a stable (unlocked) value of every target shard with
+//     the substrate's store-free Read and run the caller's function on a
+//     private copy.
 //  2. Publish: write the target shard list plus the expected old and
 //     computed new values into the calling process's descriptor, and flip
 //     the descriptor's status word to Active. From here the transaction
@@ -47,8 +48,8 @@
 // incarnation can never corrupt the next one.
 //
 // Snapshot obtains a cross-shard linearizable view the optimistic way
-// first: LL every shard, then VL every shard. All LLs precede all VLs,
-// so if every VL validates, the values all coexisted at the instant
+// first: Read every shard, then VL every shard. All Reads precede all
+// VLs, so if every VL validates, the values all coexisted at the instant
 // between the two passes. Under sustained update traffic the double
 // collect retries a bounded number of times and then falls back to the
 // descriptor path: an identity transaction over all K shards whose
@@ -76,9 +77,13 @@ type ShardSet interface {
 	Words() int
 	// LL performs a load-linked of shard i by process p (len(dst) = Words()).
 	LL(p, i int, dst []uint64)
+	// Read copies shard i's current value into dst for process p and links
+	// like an LL for VL, but p's SC on shard i fails until p's next LL of
+	// it. The engine reads with it wherever no SC follows on that link.
+	Read(p, i int, dst []uint64)
 	// SC performs a store-conditional on shard i by process p.
 	SC(p, i int, src []uint64) bool
-	// VL validates process p's latest LL of shard i.
+	// VL validates process p's latest LL or Read of shard i.
 	VL(p, i int) bool
 }
 
@@ -405,19 +410,19 @@ func (e *Engine) Snapshot(p int, dst [][]uint64) int {
 		}
 	}
 	for attempt := 1; attempt <= SnapshotRetries; attempt++ {
-		// Pass 1: LL every shard. Pass 2: VL every shard. Every LL
+		// Pass 1: Read every shard. Pass 2: VL every shard. Every Read
 		// precedes every VL, so if no VL fails, all K values were
 		// simultaneously current at the instant between the passes.
 		//
-		// An attempt must contain NO helping between its LLs and VLs:
+		// An attempt must contain NO helping between its Reads and VLs:
 		// helping re-LLs already collected shards under this same process
 		// id, which would make their VLs validate the helper's fresh link
-		// instead of the collecting LL and let a torn view through. So a
-		// locked shard aborts the attempt, gets helped out of the way,
+		// instead of the collecting Read and let a torn view through. So
+		// a locked shard aborts the attempt, gets helped out of the way,
 		// and the collect restarts from scratch.
 		lockedShard, lockedRef := -1, uint64(0)
 		for i := 0; i < e.k; i++ {
-			e.s.LL(p, i, dst[i])
+			e.s.Read(p, i, dst[i])
 			e.step(p)
 			if v := e.locks[i].v.Load(); locked(v) {
 				lockedShard, lockedRef = i, v
@@ -473,16 +478,17 @@ func (e *Engine) Read(p, sh int, dst []uint64) {
 	e.stableRead(p, sh, dst)
 }
 
-// stableRead reads shard sh's logical value into dst: LL, then check the
-// lock word (helping any pending transaction out of the way), then VL.
-// The VL closes the last gap: a release could have rewritten the shard
-// between our LL and an unlocked lock-word read, in which case the LL'd
-// value predates a committed transaction — the release's SC broke our
-// link, so VL fails and we re-read. On return, p's link on sh is from
-// the final (validated) LL.
+// stableRead reads shard sh's logical value into dst: Read, then check
+// the lock word (helping any pending transaction out of the way), then
+// VL. The VL closes the last gap: a release could have rewritten the
+// shard between our Read and an unlocked lock-word read, in which case
+// the value predates a committed transaction — the release's SC broke
+// our link, so VL fails and we re-read. On return, p's link on sh is
+// from the final (validated) Read; it licenses VL, not SC, which is all
+// the collect phase needs (seal and release LL afresh before they SC).
 func (e *Engine) stableRead(p, sh int, dst []uint64) {
 	for {
-		e.s.LL(p, sh, dst)
+		e.s.Read(p, sh, dst)
 		e.step(p)
 		if v := e.locks[sh].v.Load(); locked(v) {
 			e.helpRef(p, sh, v)

@@ -1,6 +1,7 @@
 package txn_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,7 +19,8 @@ type lockShards struct {
 	k, w  int
 	vals  [][]uint64
 	vers  []uint64
-	links [][]uint64 // [shard][proc]: version at latest LL
+	links [][]uint64 // [shard][proc]: version at latest LL or Read
+	reads [][]bool   // [shard][proc]: the latest link came from a Read
 }
 
 func newLockShards(k, words, n int, initial []uint64) *lockShards {
@@ -26,11 +28,13 @@ func newLockShards(k, words, n int, initial []uint64) *lockShards {
 		vals:  make([][]uint64, k),
 		vers:  make([]uint64, k),
 		links: make([][]uint64, k),
+		reads: make([][]bool, k),
 	}
 	for i := range s.vals {
 		s.vals[i] = make([]uint64, words)
 		copy(s.vals[i], initial)
 		s.links[i] = make([]uint64, n)
+		s.reads[i] = make([]bool, n)
 	}
 	return s
 }
@@ -43,12 +47,21 @@ func (s *lockShards) LL(p, i int, dst []uint64) {
 	defer s.mu.Unlock()
 	copy(dst, s.vals[i])
 	s.links[i][p] = s.vers[i]
+	s.reads[i][p] = false
+}
+
+func (s *lockShards) Read(p, i int, dst []uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	copy(dst, s.vals[i])
+	s.links[i][p] = s.vers[i]
+	s.reads[i][p] = true
 }
 
 func (s *lockShards) SC(p, i int, src []uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.links[i][p] != s.vers[i] {
+	if s.reads[i][p] || s.links[i][p] != s.vers[i] {
 		return false
 	}
 	copy(s.vals[i], src)
@@ -334,5 +347,79 @@ func TestSingleKeyAndMultiKeyCompose(t *testing.T) {
 	}
 	if word1 != uint64(2*perG*k) {
 		t.Fatalf("multi-key increments: %d, want %d", word1, 2*perG*k)
+	}
+}
+
+// TestEngineReadAndSnapshotUnderCommits runs transactions that bump every
+// shard at once beside readers. The collect phase and Snapshot's first
+// pass read with the substrate's Read, whose link rejects SC, so commits
+// must still land; every engine Read must be non-decreasing per shard,
+// and every Snapshot must see all shards equal.
+func TestEngineReadAndSnapshotUnderCommits(t *testing.T) {
+	const (
+		k, w     = 4, 2
+		writers  = 2
+		readers  = 2
+		commits  = 300
+		observed = 300
+	)
+	s := newLockShards(k, w, writers+readers, make([]uint64, w))
+	e, err := txn.New(s, writers+readers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []int{0, 1, 2, 3}
+	var wg sync.WaitGroup
+	for p := 0; p < writers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				e.Update(p, all, func(vals [][]uint64) {
+					for _, v := range vals {
+						v[0]++
+					}
+				})
+			}
+		}(p)
+	}
+	errs := make(chan string, readers)
+	for p := writers; p < writers+readers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			last := make([]uint64, k)
+			v := make([]uint64, w)
+			snap := make([][]uint64, k)
+			for i := range snap {
+				snap[i] = make([]uint64, w)
+			}
+			for i := 0; i < observed; i++ {
+				sh := i % k
+				e.Read(p, sh, v)
+				if v[0] < last[sh] {
+					errs <- fmt.Sprintf("p%d: shard %d went back from %d to %d", p, sh, last[sh], v[0])
+					return
+				}
+				last[sh] = v[0]
+				e.Snapshot(p, snap)
+				for i := range snap {
+					if snap[i][0] != snap[0][0] {
+						errs <- fmt.Sprintf("p%d: snapshot is not a cut: %v", p, snap)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	for i := 0; i < k; i++ {
+		if got := s.value(i)[0]; got != writers*commits {
+			t.Fatalf("shard %d = %d, want %d", i, got, writers*commits)
+		}
 	}
 }
