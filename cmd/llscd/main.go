@@ -46,8 +46,10 @@
 // -trace-sample N additionally head-samples 1 in N requests per
 // connection, and every trace slower than -slow-threshold emits one
 // structured slow-op log line on stdout. Histograms and spans read the
-// same per-batch stage clock; E15 prices the instrumented path with
-// sampling off and turned up.
+// same per-batch stage clock: a span is a value built from it, with no
+// span pool to run dry, retired into a recent ring of 256 (/tracez)
+// and a slowest-64 window over the last minute (/slowz). E15 prices
+// the instrumented path with sampling off and turned up.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops
 // accepting, closes open connections, waits for the per-connection

@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
@@ -187,7 +188,8 @@ type Trace struct {
 	// ServerStages holds the server's echoed per-stage durations in
 	// nanoseconds, in internal/trace stage order (decode, queue,
 	// acquire, execute, persist, fsync). Empty when the server did not
-	// echo a breakdown (old server, or its span free list ran dry).
+	// echo a breakdown: an old server, or a response with a non-OK
+	// status.
 	ServerStages []uint64
 }
 
@@ -200,17 +202,6 @@ type traceKey struct{}
 // call completes. The caller owns t; reuse it only sequentially.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
-}
-
-// traceSeed feeds generated trace ids (splitmix64 over a shared
-// counter: unique process-wide, no coordination with the server).
-var traceSeed atomic.Uint64
-
-func nextTraceID() uint64 {
-	z := traceSeed.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Client is a pooled, self-healing connection to one llscd server.
@@ -688,7 +679,7 @@ func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, erro
 	tr, _ := ctx.Value(traceKey{}).(*Trace)
 	if tr != nil {
 		if tr.ID == 0 {
-			tr.ID = nextTraceID()
+			tr.ID = trace.NewID()
 		}
 		req.Traced, req.TraceID = true, tr.ID
 	}

@@ -2,6 +2,12 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +17,7 @@ import (
 )
 
 func TestWithTraceFillsClientAndServerStages(t *testing.T) {
-	tr := trace.New(trace.Config{Recent: 16, SlowN: 4})
+	tr := trace.New(trace.Config{})
 	_, addr := startServer(t, 4, 3, 2, server.WithTracer(tr))
 	c := dial(t, addr)
 
@@ -97,27 +103,81 @@ func TestWithTraceFillsClientAndServerStages(t *testing.T) {
 	}
 }
 
-func TestWithTraceWhenSpansRunDry(t *testing.T) {
-	// A traced call against a server whose tracer has no free span
-	// still succeeds: the server has nowhere to record it, serves it
-	// untraced and counts the drop, so no breakdown comes back.
-	tr := trace.New(trace.Config{MaxLive: 1})
-	if tr.Get() == nil { // hold the only span
-		t.Fatal("fresh tracer has no span")
-	}
+// TestWithTraceNonOKNoStageEcho: a traced call the server answers with
+// a non-OK status gets no stage echo — the server echoes a breakdown
+// only on OK responses — yet the client still stamps its own stages and
+// the server still records the span, marked Err, in /tracez.
+func TestWithTraceNonOKNoStageEcho(t *testing.T) {
+	tr := trace.New(trace.Config{})
 	_, addr := startServer(t, 4, 3, 2, server.WithTracer(tr))
 	c := dial(t, addr)
 	var ct client.Trace
-	if _, err := c.Add(client.WithTrace(context.Background(), &ct), 1, []uint64{1, 1}); err != nil {
-		t.Fatal(err)
+	// Three deltas against a width-2 map: a bad request.
+	if _, err := c.Add(client.WithTrace(context.Background(), &ct), 1, []uint64{1, 1, 1}); err == nil {
+		t.Fatal("wrong-width add succeeded")
 	}
 	if len(ct.ServerStages) != 0 {
-		t.Fatalf("server without a free span echoed stages: %+v", ct)
+		t.Fatalf("non-OK response echoed stages: %+v", ct)
 	}
-	if ct.Total <= 0 {
+	if ct.ID == 0 || ct.Total <= 0 {
 		t.Fatalf("client stages not stamped: %+v", ct)
 	}
-	if st := tr.Stats(); st.Dropped != 1 || st.Retired != 0 {
-		t.Fatalf("tracer stats %+v, want 1 dropped and none retired", st)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Stats().Retired < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the rejected call's span never retired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rec := httptest.NewRecorder()
+	tr.ServeTracez(rec, httptest.NewRequest("GET", "/tracez", nil))
+	var page struct {
+		Spans []struct {
+			TraceID string `json:"trace_id"`
+			Err     bool   `json:"err"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+		t.Fatalf("/tracez JSON: %v\n%s", err, rec.Body)
+	}
+	want := fmt.Sprintf("%016x", ct.ID)
+	if len(page.Spans) != 1 || page.Spans[0].TraceID != want || !page.Spans[0].Err {
+		t.Fatalf("/tracez spans = %+v, want one Err span with trace id %s", page.Spans, want)
+	}
+}
+
+// TestTraceIDsDifferAcrossProcesses: client-generated trace ids come
+// from a generator seeded per process, so two processes tracing
+// against one server do not collide. The test re-executes its own
+// binary twice; each child makes one traced call and prints its id.
+func TestTraceIDsDifferAcrossProcesses(t *testing.T) {
+	const childEnv = "MWLLSC_TRACE_ID_CHILD"
+	if os.Getenv(childEnv) == "1" {
+		_, addr := startServer(t, 4, 3, 2)
+		c := dial(t, addr)
+		var ct client.Trace
+		if err := c.Ping(client.WithTrace(context.Background(), &ct)); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("first-trace-id=%016x\n", ct.ID)
+		return
+	}
+	var ids [2]string
+	for i := range ids {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTraceIDsDifferAcrossProcesses$", "-test.count=1")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("child %d: %v\n%s", i, err, out)
+		}
+		_, after, ok := strings.Cut(string(out), "first-trace-id=")
+		if !ok || len(after) < 16 {
+			t.Fatalf("child %d printed no trace id:\n%s", i, out)
+		}
+		ids[i] = after[:16]
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("two processes drew the same first trace id %s", ids[0])
 	}
 }

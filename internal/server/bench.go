@@ -2,7 +2,6 @@ package server
 
 import (
 	"runtime"
-	"time"
 
 	"mwllsc/internal/shard"
 	"mwllsc/internal/wire"
@@ -73,12 +72,7 @@ func (s *Server) execRound(cs *connState) {
 	cs.unit = <-cs.free
 	s.executeBatch(cs)
 	u := <-cs.out
-	for i := range u.items {
-		if sp := u.items[i].span; sp != nil {
-			sp.Finish(time.Now())
-			s.tracer.Retire(sp)
-		}
-	}
+	s.finishSpans(u.spans, false)
 	cs.recycle(u)
 }
 

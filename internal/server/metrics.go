@@ -121,8 +121,6 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	tr := s.tracer
 	reg.Counter("llscd_trace_spans_total", "Trace spans completed and retired into the rings.",
 		func() uint64 { return tr.Stats().Retired })
-	reg.Counter("llscd_trace_dropped_total", "Traces skipped because the span free list ran dry.",
-		func() uint64 { return tr.Stats().Dropped })
 	if s.persist != nil {
 		st := s.persist
 		reg.Counter("llscd_persist_records_total", "Records appended to the durability log.",

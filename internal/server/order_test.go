@@ -28,12 +28,12 @@ func TestBatchExecutesInArrivalOrder(t *testing.T) {
 	s.executeBatch(cs)
 	u := <-cs.out
 	defer cs.recycle(u)
-	if len(u.items) != k {
-		t.Fatalf("unit carries %d responses, want %d", len(u.items), k)
+	if len(u.resps) != k {
+		t.Fatalf("unit carries %d responses, want %d", len(u.resps), k)
 	}
-	for i, it := range u.items {
-		if want := uint64(100 + i); it.resp.ID != want || it.resp.Status != wire.StatusOK {
-			t.Errorf("response %d: id %d status %v, want id %d ok (batch order)", i, it.resp.ID, it.resp.Status, want)
+	for i, resp := range u.resps {
+		if want := uint64(100 + i); resp.ID != want || resp.Status != wire.StatusOK {
+			t.Errorf("response %d: id %d status %v, want id %d ok (batch order)", i, resp.ID, resp.Status, want)
 		}
 	}
 }

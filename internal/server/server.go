@@ -19,9 +19,10 @@
 // Every server is instrumented: it always carries latency histograms
 // (Metrics) and a tracer (internal/trace) that stays idle until a
 // client flags a request or the tracer samples one. A batch passes
-// through named stages — gather/decode, admit, queue, acquire, execute,
-// persist, fsync — and one clock read at each stage boundary feeds both
-// the service-latency histogram and every trace span in the batch.
+// through named stages — the trace stages decode, queue, acquire,
+// execute, persist, fsync — and one clock read at each stage boundary
+// feeds both the service-latency histogram and every trace span in the
+// batch.
 //
 // Consistency is exactly the in-process contract: per-key operations
 // are linearizable per shard, UpdateMulti is a cross-shard atomic
@@ -39,7 +40,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mwllsc/internal/obs"
@@ -381,50 +381,45 @@ const outUnits = 4
 // batchOut is one batch's responses on their way to the writer, handed
 // over in a single channel send. It owns its responses — recycled with
 // the unit, which is why responses cost no allocation in steady state —
-// and the trace span of each traced one, which the writer finishes
-// after the flush that carries it. Malformed-frame answers come first,
-// then the batch's responses in batch order.
+// and the spans of its traced requests, which the writer copies out and
+// finishes after the flush that carries them. Malformed-frame answers
+// come first, then the batch's responses in batch order.
+//
+// A unit carries at most one span per batched request, so the spans a
+// connection holds in its units are bounded by outUnits × maxBatch by
+// construction. The writer's copy holds those of one coalesced write,
+// and keeps no more than that bound's capacity between writes.
 type batchOut struct {
-	items []outItem
-}
-
-type outItem struct {
-	resp wire.Response
-	span *trace.Span // nil unless the request is traced
+	resps []wire.Response
+	spans []trace.Span
 }
 
 // add appends a reset response to u and returns it. The pointer is
 // valid until the next add.
 func (u *batchOut) add() *wire.Response {
-	n := len(u.items)
-	if n < cap(u.items) {
-		u.items = u.items[:n+1]
+	n := len(u.resps)
+	if n < cap(u.resps) {
+		u.resps = u.resps[:n+1]
 	} else {
-		u.items = append(u.items, outItem{})
+		u.resps = append(u.resps, wire.Response{})
 	}
-	it := &u.items[n]
-	*it = outItem{resp: wire.Response{Data: it.resp.Data[:0], Stages: it.resp.Stages[:0]}}
-	return &it.resp
+	r := &u.resps[n]
+	*r = wire.Response{Data: r.Data[:0], Stages: r.Stages[:0]}
+	return r
 }
 
-// Batch clock marks, one per stage boundary in timeline order: clk[m]
-// is the instant the stage named by m ended. The first mark is the
-// batch head's arrival, where the batch's first stage begins.
+// Batch clock marks, one per trace stage boundary in timeline order:
+// clk[mArrive] is the batch head's arrival and clk[1+st] the instant
+// trace stage st ended, so the clock is exactly the marks a span reads.
 const (
-	mArrive  = iota // head frame read
-	mDecode         // gather/decode: the batch's frames decoded
-	mAdmit          // admit: inflight token taken, or the batch rejected
-	mQueue          // queue: degraded verdict
-	mAcquire        // acquire: registry slot held
-	mExecute        // execute: operations run, slot released
-	mPersist        // persist: committed updates appended to the log
-	mFsync          // fsync: the group-commit round covering them done
-	numMarks
+	mArrive  = 0                           // head frame read
+	mDecode  = 1 + int(trace.StageDecode)  // the batch's frames decoded
+	mQueue   = 1 + int(trace.StageQueue)   // inflight token taken (or refused), degraded verdict
+	mAcquire = 1 + int(trace.StageAcquire) // registry slot held
+	mExecute = 1 + int(trace.StageExecute) // operations run, slot released
+	mPersist = 1 + int(trace.StagePersist) // committed updates appended to the log
+	mFsync   = 1 + int(trace.StageFsync)   // the group-commit round covering them done
 )
-
-// spanEnd maps each wire trace stage to the clock mark that closes it;
-// admission counts toward the queue stage.
-var spanEnd = [trace.WireStages]int{mDecode, mQueue, mAcquire, mExecute, mPersist, mFsync}
 
 // connState is one connection's reusable serving state — the reason the
 // hot path is allocation-free in steady state. It holds the decoded
@@ -447,7 +442,7 @@ type connState struct {
 	free chan *batchOut
 
 	// clk is the current batch's stage clock (the m* marks).
-	clk [numMarks]time.Time
+	clk [trace.WireStages + 1]time.Time
 
 	// Update/UpdateMulti state read by the pre-bound merge closures. seq
 	// is the commit sequence number the latest merge run drew (with a
@@ -461,27 +456,11 @@ type connState struct {
 	mergeMulti func(vals [][]uint64)
 
 	// degraded is the per-batch verdict of the disk-sick check: set once
-	// per batch in runAdmitted, read by execute for every update in it.
+	// per batch in executeBatch, read by execute for every update in it.
 	degraded bool
 
-	// sampleCtr counts toward the next head sample; rng is the
-	// per-connection trace-id generator (splitmix64), contention-free
-	// because it is never shared.
+	// sampleCtr counts toward the next head sample.
 	sampleCtr uint64
-	rng       uint64
-}
-
-// connSeed differentiates the per-connection trace-id rng streams.
-var connSeed atomic.Uint64
-
-// nextTraceID returns the next generated trace id (for head-sampled
-// spans; wire-flagged spans carry the client's id).
-func (cs *connState) nextTraceID() uint64 {
-	cs.rng += 0x9e3779b97f4a7c15
-	z := cs.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 func (s *Server) newConnState() *connState {
@@ -489,7 +468,6 @@ func (s *Server) newConnState() *connState {
 		batch: make([]batchReq, 0, s.maxBatch),
 		out:   make(chan *batchOut, outUnits),
 		free:  make(chan *batchOut, outUnits),
-		rng:   uint64(time.Now().UnixNano()) ^ connSeed.Add(1)<<32,
 	}
 	for i := 0; i < outUnits; i++ {
 		cs.free <- &batchOut{}
@@ -517,12 +495,12 @@ func (s *Server) newConnState() *connState {
 // arrays (snapshots) are dropped first, mirroring wire.ReadFrame's
 // shrink of oversized frame buffers.
 func (cs *connState) recycle(u *batchOut) {
-	for i := range u.items {
-		if cap(u.items[i].resp.Data) > respDataSoftCap {
-			u.items[i].resp.Data = nil
+	for i := range u.resps {
+		if cap(u.resps[i].Data) > respDataSoftCap {
+			u.resps[i].Data = nil
 		}
 	}
-	u.items = u.items[:0]
+	u.resps, u.spans = u.resps[:0], u.spans[:0]
 	cs.free <- u
 }
 
@@ -534,7 +512,7 @@ func (cs *connState) stamp(m int) { cs.clk[m] = time.Now() }
 // skips — persistence with nothing to log, everything after a busy
 // rejection — stay zero-width, so stage sums still equal span totals.
 func (cs *connState) hold(m int) {
-	for i := m + 1; i < numMarks; i++ {
+	for i := m + 1; i < len(cs.clk); i++ {
 		cs.clk[i] = cs.clk[m]
 	}
 }
@@ -588,7 +566,7 @@ const writeBufCap = 64 << 10
 func (s *Server) writeLoop(c net.Conn, cs *connState) {
 	buf := make([]byte, 0, writeBufCap)
 	payload := make([]byte, 0, 4<<10)
-	var spans []*trace.Span // spans riding in buf, finished at its flush
+	var spans []trace.Span // spans riding in buf, finished at its flush
 	// write pushes one coalesced buffer, under the write-stall deadline
 	// when one is set. On failure it closes the connection itself: an
 	// evicted-but-alive peer would otherwise keep the read loop (and the
@@ -610,14 +588,11 @@ func (s *Server) writeLoop(c net.Conn, cs *connState) {
 		return err
 	}
 	encode := func(u *batchOut) {
-		for i := range u.items {
-			it := &u.items[i]
-			payload = wire.AppendResponse(payload[:0], &it.resp)
+		for i := range u.resps {
+			payload = wire.AppendResponse(payload[:0], &u.resps[i])
 			buf = wire.AppendFrame(buf, payload)
-			if it.span != nil {
-				spans = append(spans, it.span)
-			}
 		}
+		spans = append(spans, u.spans...)
 		cs.recycle(u)
 	}
 	var werr error
@@ -650,28 +625,33 @@ func (s *Server) writeLoop(c net.Conn, cs *connState) {
 		if cap(payload) > 4*writeBufCap {
 			payload = make([]byte, 0, 4<<10)
 		}
+		if cap(spans) > outUnits*s.maxBatch {
+			spans = nil
+		}
 	}
 }
 
 // finishSpans closes the flush stage of every span one write carried
 // and retires them; failed marks them Err (their responses never left).
-func (s *Server) finishSpans(spans []*trace.Span, failed bool) {
+func (s *Server) finishSpans(spans []trace.Span, failed bool) {
 	if len(spans) == 0 {
 		return
 	}
 	now := time.Now()
-	for _, sp := range spans {
+	for i := range spans {
+		sp := &spans[i]
 		sp.Err = sp.Err || failed
-		sp.Finish(now)
+		sp.Flushed(now)
 		s.tracer.Retire(sp)
 	}
 }
 
-// batchReq is one decoded request waiting in a batch, with its trace
-// span when the request is traced (nil otherwise).
+// batchReq is one decoded request waiting in a batch; sampled marks a
+// request the server head-sampled for tracing (wire-flagged ones carry
+// req.Traced instead).
 type batchReq struct {
-	req  wire.Request
-	span *trace.Span
+	req     wire.Request
+	sampled bool
 }
 
 // readLoop decodes frames into batches and executes them. It returns on
@@ -744,9 +724,8 @@ func frameBuffered(br *bufio.Reader) bool {
 
 // appendDecoded decodes frame into a new batch slot. A malformed request
 // is not batched: its StatusBadRequest answer goes into the batch's
-// unit ahead of the batch's own responses. For wire-flagged or
-// head-sampled requests it also draws the trace span the batch clock
-// will fill.
+// unit ahead of the batch's own responses. It also makes the
+// head-sampling decision for requests the client did not flag.
 func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 	// Reslice over a recycled slot when possible: DecodeRequest resets
 	// every field and reuses the slot's Keys/Args backing arrays, which
@@ -758,7 +737,7 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 		batch = append(batch, batchReq{})
 	}
 	br := &batch[len(batch)-1]
-	br.span = nil // recycled slot may hold a retired span's pointer
+	br.sampled = false
 	if err := wire.DecodeRequest(&br.req, frame); err != nil {
 		s.ctrs.Inc(0, cBadReqs)
 		// A frame too mangled to carry an id gets id 0; the client will
@@ -768,22 +747,20 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 		cs.batch = batch[:len(batch)-1]
 		return frame
 	}
-	if br.req.Traced {
-		br.span = s.tracer.Get() // nil when the free list is dry: serve untraced
-	} else if n := s.tracer.SampleN(); n > 0 {
+	if n := s.tracer.SampleN(); n > 0 && !br.req.Traced {
 		if cs.sampleCtr++; cs.sampleCtr >= n {
 			cs.sampleCtr = 0
-			br.span = s.tracer.Get()
+			br.sampled = true
 		}
 	}
 	cs.batch = batch
 	return frame
 }
 
-// executeBatch runs the gathered batch through its stages — admit, then
-// queue, acquire, execute, persist and fsync for an admitted batch —
-// stamping the batch clock at each boundary, and emits the batch's unit
-// to the writer. The Service histogram and every traced span read the
+// executeBatch runs the gathered batch through its stages — queue, then
+// acquire, execute, persist and fsync for an admitted batch — stamping
+// the batch clock at each boundary, and emits the batch's unit to the
+// writer. The Service histogram and every traced span read the
 // same clock: each stage window is shared by the whole batch, which
 // also makes every span's stage sum equal its total by construction.
 //
@@ -794,7 +771,7 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 // connection (and in-process callers) may be waiting for.
 func (s *Server) executeBatch(cs *connState) {
 	if n := len(cs.batch); n > 0 {
-		base := len(cs.unit.items) // malformed-frame answers go first
+		base := len(cs.unit.resps) // malformed-frame answers go first
 		cs.stamp(mDecode)
 		// Admission: try to take an inflight token before committing any
 		// resources to the batch. No token means the server is already
@@ -810,7 +787,11 @@ func (s *Server) executeBatch(cs *connState) {
 				admitted = false
 			}
 		}
-		cs.stamp(mAdmit)
+		// Degraded mode is decided once per batch: the store's sick flag
+		// is a single atomic load, and every update in the batch sees the
+		// same verdict.
+		cs.degraded = s.degrade && s.persist != nil && s.persist.Sick()
+		cs.stamp(mQueue)
 		if admitted {
 			p := s.runAdmitted(cs, base)
 			// The admission token covers slot acquisition through
@@ -823,7 +804,7 @@ func (s *Server) executeBatch(cs *connState) {
 			s.metrics.Batch.Observe(p, uint64(n))
 		} else {
 			s.rejectBusy(cs)
-			cs.hold(mAdmit)
+			cs.hold(mQueue)
 		}
 		cs.fillSpans(base)
 	}
@@ -831,17 +812,11 @@ func (s *Server) executeBatch(cs *connState) {
 	cs.unit = nil
 }
 
-// runAdmitted runs an admitted batch's queue, acquire, execute, persist
-// and fsync stages through one acquired handle, in arrival order,
-// appending the response to batch[i] at unit index base+i. It returns
-// the counter stripe the batch ran on.
+// runAdmitted runs an admitted batch's acquire, execute, persist and
+// fsync stages through one acquired handle, in arrival order, appending
+// the response to batch[i] at unit index base+i. It returns the counter
+// stripe the batch ran on.
 func (s *Server) runAdmitted(cs *connState, base int) int {
-	// Degraded mode is decided once per batch: the store's sick flag is
-	// a single atomic load, and every update in the batch sees the same
-	// verdict.
-	cs.degraded = s.degrade && s.persist != nil && s.persist.Sick()
-	cs.stamp(mQueue)
-
 	if cs.h == nil {
 		cs.h = s.m.Acquire()
 	} else {
@@ -889,7 +864,7 @@ func (s *Server) runAdmitted(cs *connState, base int) int {
 			// drift is visible in the stats.
 			msg := fmt.Sprintf("persistence failure: %v", err)
 			for i := range cs.batch {
-				r := &cs.unit.items[base+i].resp
+				r := &cs.unit.resps[base+i]
 				if op := cs.batch[i].req.Op; r.Status == wire.StatusOK && (op == wire.OpUpdate || op == wire.OpUpdateMulti) {
 					s.reject(p, r, wire.StatusBadRequest, msg)
 				}
@@ -899,35 +874,31 @@ func (s *Server) runAdmitted(cs *connState, base int) int {
 	return p
 }
 
-// fillSpans fills every traced span of the batch — admitted or busy —
-// from the batch clock, records the request's outcome, echoes the
-// stage breakdown on wire-flagged OK responses, and moves the span into
-// the unit beside its response (index base+i) for the writer to finish.
+// fillSpans builds a span from the batch clock for every traced request
+// of the batch — admitted or busy — records the request's outcome,
+// echoes the stage breakdown on wire-flagged OK responses (response
+// index base+i), and adds the span to the unit for the writer to finish.
 func (cs *connState) fillSpans(base int) {
 	for i := range cs.batch {
-		sp := cs.batch[i].span
-		if sp == nil {
+		br := &cs.batch[i]
+		if !br.req.Traced && !br.sampled {
 			continue
 		}
-		req, it := &cs.batch[i].req, &cs.unit.items[base+i]
-		sp.Begin(cs.clk[mArrive])
-		for st, m := range spanEnd {
-			sp.Stamp(trace.Stage(st), cs.clk[m])
-		}
-		sp.Op, sp.Key = uint8(req.Op), req.Key
-		sp.Attempts, sp.Batch = it.resp.Attempts, uint32(len(cs.batch))
-		sp.Err = it.resp.Status != wire.StatusOK
-		if req.Traced {
-			sp.TraceID = req.TraceID
-			if !sp.Err {
-				it.resp.Traced, it.resp.TraceID = true, sp.TraceID
-				it.resp.Stages = append(it.resp.Stages, sp.Stages[:trace.WireStages]...)
-			}
+		resp := &cs.unit.resps[base+i]
+		sp := trace.NewSpan(&cs.clk)
+		sp.Op, sp.Key, sp.Sampled = uint8(br.req.Op), br.req.Key, br.sampled
+		sp.Attempts, sp.Batch = resp.Attempts, uint32(len(cs.batch))
+		sp.Err = resp.Status != wire.StatusOK
+		if br.sampled {
+			sp.TraceID = trace.NewID()
 		} else {
-			sp.Sampled = true
-			sp.TraceID = cs.nextTraceID()
+			sp.TraceID = br.req.TraceID
+			if !sp.Err {
+				resp.Traced, resp.TraceID = true, sp.TraceID
+				resp.Stages = append(resp.Stages, sp.Stages[:trace.WireStages]...)
+			}
 		}
-		it.span = sp
+		cs.unit.spans = append(cs.unit.spans, sp)
 	}
 }
 

@@ -7,23 +7,25 @@
 // A request becomes traced one of two ways: the client flags it on the
 // wire (an optional trailing trace id on the request frame, see
 // internal/wire and docs/WIRE.md), or the server head-samples it at a
-// 1-in-N rate. Either way the server stamps monotonic timestamps at
-// each stage the request already passes through — frame decode, batch
-// queue wait, registry slot acquire, shard execute, persist append,
-// group-commit fsync wait, writer coalesce/flush — into a Span drawn
-// from a preallocated free list, and retires the completed span here.
+// 1-in-N rate. Either way the span is a plain value built from the
+// server's per-batch stage clock when the batch finishes — frame
+// decode, batch queue wait, registry slot acquire, shard execute,
+// persist append, group-commit fsync wait — closed by the writer's
+// flush, and retired here.
 //
 // The design constraint is the same one that shaped the serving path
 // and the obs layer: the *untraced* path must stay allocation-free and
 // cost no more than the E15 experiment shows. The stage timestamps come
 // from the server's per-batch stage clock, which the latency histograms
-// read anyway; everything per-request is gated on one branch; spans are preallocated and recycled; retirement copies
-// the span into fixed rings of atomic words (no locks on the recent
-// ring, a short mutex on the rare slow-candidate path) so concurrent
-// /tracez and /slowz readers race nothing.
+// read anyway; everything per-request is gated on one branch; spans are
+// values carried in the connection's reused batch units; retirement
+// copies the span into fixed rings of atomic words (no locks on the
+// recent ring, a short mutex on the rare slow-candidate path) so
+// concurrent /tracez and /slowz readers race nothing.
 package trace
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +33,7 @@ import (
 
 // Stage indexes a span's per-stage duration. The stages partition the
 // span's server-side lifetime in order; their sum equals Total by
-// construction (each stamp closes one stage and opens the next).
+// construction (each clock mark closes one stage and opens the next).
 type Stage uint8
 
 // Server pipeline stages, in timeline order.
@@ -67,35 +69,25 @@ const (
 // travel — it is still happening while the response's bytes leave.
 const WireStages = int(StageFlush)
 
+// stageNames holds the stage mnemonics, indexed by Stage.
+var stageNames = [NumStages]string{"decode", "queue", "acquire", "execute", "persist", "fsync", "flush"}
+
 // StageName returns the short lowercase stage mnemonic.
 func StageName(st Stage) string {
-	switch st {
-	case StageDecode:
-		return "decode"
-	case StageQueue:
-		return "queue"
-	case StageAcquire:
-		return "acquire"
-	case StageExecute:
-		return "execute"
-	case StagePersist:
-		return "persist"
-	case StageFsync:
-		return "fsync"
-	case StageFlush:
-		return "flush"
-	default:
-		return "stage?"
+	if int(st) < NumStages {
+		return stageNames[st]
 	}
+	return "stage?"
 }
 
-// Span is one traced request's record. The server fills it in while the
-// request moves through the pipeline and retires it with
-// Tracer.Retire, which copies it into the rings and recycles it; a
-// *Span must not be held past Retire.
+// Span is one traced request's record, a plain value. The server
+// builds it from its per-batch stage clock when the batch finishes
+// (NewSpan), its writer closes the flush stage after the write that
+// carried the response (Flushed), and Tracer.Retire copies it into the
+// rings.
 type Span struct {
 	// TraceID identifies the trace: client-chosen for wire-flagged
-	// requests, generated for head-sampled ones.
+	// requests, generated (NewID) for head-sampled ones.
 	TraceID uint64
 	// Op is the request's wire opcode (a wire.Op; uint8 here so this
 	// package does not import the protocol).
@@ -121,31 +113,53 @@ type Span struct {
 	// equals Total.
 	Stages [NumStages]uint64
 
-	// begin anchors Total (monotonic); mark is the running stamp, each
-	// Stamp closing the stage since the previous mark.
-	begin time.Time
-	mark  time.Time
+	// flushFrom is the monotonic instant the last wire stage closed,
+	// where the flush stage opens (zero on spans read from the rings).
+	flushFrom time.Time
 }
 
-// Begin resets the span and anchors its clock at t.
-func (s *Span) Begin(t time.Time) {
-	*s = Span{Start: t.UnixNano(), begin: t, mark: t}
+// NewSpan returns a span whose wire stages are the windows between
+// consecutive clock marks: marks[0] is the request's arrival and
+// marks[st+1] the instant stage st closed. The flush stage stays open
+// until Flushed.
+func NewSpan(marks *[WireStages + 1]time.Time) Span {
+	s := Span{Start: marks[0].UnixNano(), flushFrom: marks[WireStages]}
+	for st := 0; st < WireStages; st++ {
+		s.Stages[st] = uint64(marks[st+1].Sub(marks[st]))
+	}
+	return s
 }
 
-// Stamp closes stage st at time t: the stage's duration is the time
-// since the previous stamp (or Begin). Stages stamped out of order
-// accumulate, so a stage touched twice (persist then fsync per batch
-// half) stays correct.
-func (s *Span) Stamp(st Stage, t time.Time) {
-	s.Stages[st] += uint64(t.Sub(s.mark))
-	s.mark = t
+// Flushed closes the flush stage at t and fixes Total as the stage sum,
+// which telescopes to t minus the arrival mark.
+func (s *Span) Flushed(t time.Time) {
+	s.Stages[StageFlush] = uint64(t.Sub(s.flushFrom))
+	s.Total = 0
+	for _, d := range s.Stages {
+		s.Total += d
+	}
 }
 
-// Finish closes the final stage (flush) at t and fixes Total as the
-// stage sum's wall: t minus Begin's anchor.
-func (s *Span) Finish(t time.Time) {
-	s.Stamp(StageFlush, t)
-	s.Total = uint64(t.Sub(s.begin))
+// idNext is the trace-id generator's counter, seeded once per process
+// so that separate processes — two load generators against one server,
+// say — do not draw the same id sequence.
+var idNext atomic.Uint64
+
+func init() { idNext.Store(rand.Uint64()) }
+
+// NewID returns a fresh nonzero trace id: splitmix64 over the
+// process-wide counter, a bijection, so ids never repeat within a
+// process. Clients use it for calls that leave the id to them, the
+// server for head-sampled spans.
+func NewID() uint64 {
+	for {
+		z := idNext.Add(0x9e3779b97f4a7c15)
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		if z ^= z >> 31; z != 0 {
+			return z
+		}
+	}
 }
 
 // spanWords is the fixed word footprint of a span in the rings:
@@ -172,7 +186,7 @@ func (s *Span) encode(dst *[spanWords]uint64) {
 	}
 }
 
-// decode unpacks a ring record into s (clock anchors are zero; the
+// decode unpacks a ring record into s (the flush anchor is zero; the
 // span is display-only).
 func (s *Span) decode(src *[spanWords]uint64) {
 	*s = Span{
@@ -230,133 +244,86 @@ func (sl *ringSlot) load(w *[spanWords]uint64) (ok bool) {
 type slowEntry struct {
 	words [spanWords]uint64
 	total uint64
-	seen  time.Time // retirement time, for window expiry
+	end   int64 // the span's wall-clock end (Start+Total), for window expiry
 	live  bool
 }
 
-// Config tunes New. Zero values select sensible defaults.
+// Fixed ring sizes.
+const (
+	// recentN is the recent-trace ring capacity (/tracez).
+	recentN = 256
+	// slowN is the slowest-N window capacity (/slowz).
+	slowN = 64
+	// slowWindow bounds how long a span defends its slowest-N slot:
+	// /slowz shows the slowest of the recent past, not of all time.
+	slowWindow = time.Minute
+)
+
+// Config tunes New. Zero values switch each feature off.
 type Config struct {
 	// SampleN enables head sampling: the server traces 1 in SampleN
 	// requests on its own initiative. 0 disables head sampling
 	// (client-flagged requests are always traced).
 	SampleN uint64
-	// SlowThreshold marks spans whose Total exceeds it: they always
-	// enter the slow ring and emit one structured slow-op log line.
-	// 0 disables the threshold (the slow ring still keeps the
-	// slowest-N seen in the window).
+	// SlowThreshold marks spans whose Total reaches it: each is offered
+	// to the slowest-N window and emits one structured slow-op log
+	// line. 0 disables the threshold (the window still keeps the
+	// slowest-N seen).
 	SlowThreshold time.Duration
-	// Recent is the recent-trace ring capacity (default 256).
-	Recent int
-	// SlowN is the slowest-N window capacity (default 64).
-	SlowN int
-	// Window bounds how long a span defends its slowest-N slot
-	// (default 60s): /slowz shows the slowest of the recent past, not
-	// of all time.
-	Window time.Duration
-	// MaxLive bounds concurrently live spans — the free list size
-	// (default 4×Recent). When the list runs dry new traces are
-	// dropped (counted), never allocated: tracing may lose spans under
-	// overload but cannot add GC pressure.
-	MaxLive int
 	// Logf, when set, receives one structured line per span past
 	// SlowThreshold.
 	Logf func(format string, args ...any)
 }
 
-// Tracer owns the span free list and the retirement rings, and serves
-// them as /tracez and /slowz (http.go).
+// Tracer owns the retirement rings and serves them as /tracez and
+// /slowz (http.go).
 type Tracer struct {
 	sampleN uint64
 	slowNS  uint64
 	window  time.Duration
 	logf    func(format string, args ...any)
 
-	free chan *Span
-
-	recent []ringSlot
+	recent [recentN]ringSlot
 	next   atomic.Uint64 // next recent slot
 
-	slowGate atomic.Uint64 // fast-path filter: min total currently in slow
-	slowMu   sync.Mutex
-	slow     []slowEntry
-
-	// exemplar-lite: the trace id + latency of the slowest span since
-	// the last Exemplar() read, linking histogram tails to traces.
-	exMu  sync.Mutex
-	exID  uint64
-	exLat uint64
+	// The gate makes the common retirement one pair of atomic loads:
+	// only a span that beats the window's floor total, or ends after
+	// gateUntil (when the window's oldest entry expires and frees its
+	// slot), takes slowMu.
+	slowGate  atomic.Uint64
+	gateUntil atomic.Int64
+	slowMu    sync.Mutex
+	slow      [slowN]slowEntry
 
 	retired atomic.Uint64
-	dropped atomic.Uint64
 }
 
 // New builds a Tracer from cfg.
 func New(cfg Config) *Tracer {
-	if cfg.Recent <= 0 {
-		cfg.Recent = 256
-	}
-	if cfg.SlowN <= 0 {
-		cfg.SlowN = 64
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
-	if cfg.MaxLive <= 0 {
-		cfg.MaxLive = 4 * cfg.Recent
-	}
-	t := &Tracer{
+	return &Tracer{
 		sampleN: cfg.SampleN,
 		slowNS:  uint64(cfg.SlowThreshold),
-		window:  cfg.Window,
+		window:  slowWindow,
 		logf:    cfg.Logf,
-		free:    make(chan *Span, cfg.MaxLive),
-		recent:  make([]ringSlot, cfg.Recent),
-		slow:    make([]slowEntry, cfg.SlowN),
 	}
-	for i := 0; i < cfg.MaxLive; i++ {
-		t.free <- &Span{}
-	}
-	return t
 }
 
 // SampleN returns the head-sampling rate (1-in-N; 0 = off).
 func (t *Tracer) SampleN() uint64 { return t.sampleN }
 
-// SlowThreshold returns the slow-span threshold (0 = off).
-func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNS) }
-
-// Get draws a span from the free list, or nil when every span is live
-// — the caller then serves the request untraced (counted in Stats).
-func (t *Tracer) Get() *Span {
-	select {
-	case s := <-t.free:
-		return s
-	default:
-		t.dropped.Add(1)
-		return nil
-	}
-}
-
-// Retire completes s: copies it into the recent ring (and the slow
-// window when it qualifies), updates the exemplar, emits the slow-op
-// log line when past the threshold, and recycles s. The caller must
-// not touch s afterwards.
+// Retire records a completed span: it copies s into the recent ring
+// (and the slow window when it qualifies) and emits the slow-op log
+// line when s is past the threshold. s stays the caller's.
 func (t *Tracer) Retire(s *Span) {
 	var w [spanWords]uint64
 	s.encode(&w)
 	total := s.Total
 
-	slot := (t.next.Add(1) - 1) % uint64(len(t.recent))
+	slot := (t.next.Add(1) - 1) % recentN
 	t.recent[slot].store(&w)
 	// Counted after the store, so a reader that sees Retired >= n also
 	// finds the n-th span in the ring.
 	t.retired.Add(1)
-
-	t.exMu.Lock()
-	if total > t.exLat {
-		t.exLat, t.exID = total, s.TraceID
-	}
-	t.exMu.Unlock()
 
 	slow := t.slowNS > 0 && total >= t.slowNS
 	if slow && t.logf != nil {
@@ -367,32 +334,27 @@ func (t *Tracer) Retire(s *Span) {
 			time.Duration(s.Stages[StagePersist]), time.Duration(s.Stages[StageFsync]),
 			time.Duration(s.Stages[StageFlush]), s.Attempts, s.Batch)
 	}
-	// The gate makes the common case one atomic load: only spans that
-	// beat the current slowest-N floor (or are past the threshold) pay
-	// the mutex.
-	if slow || total > t.slowGate.Load() {
-		t.offerSlow(&w, total, time.Now())
-	}
-
-	*s = Span{}
-	select {
-	case t.free <- s:
-	default: // impossible by construction (list is sized to all spans)
+	// The span's end stands in for the current time, so retirement
+	// reads no clock of its own.
+	end := s.Start + int64(total)
+	if slow || total > t.slowGate.Load() || end > t.gateUntil.Load() {
+		t.offerSlow(&w, total, end)
 	}
 }
 
 // offerSlow inserts the span into the slowest-N window, evicting the
 // best victim: an empty or expired slot first, else the smallest
-// total if the newcomer beats it. It then refreshes the gate to the
-// window's floor.
-func (t *Tracer) offerSlow(w *[spanWords]uint64, total uint64, now time.Time) {
+// total if the newcomer beats it. It then refreshes the gate: the
+// window's floor total while every slot is live (0 otherwise), valid
+// until the oldest entry expires.
+func (t *Tracer) offerSlow(w *[spanWords]uint64, total uint64, now int64) {
 	t.slowMu.Lock()
 	defer t.slowMu.Unlock()
 	victim := -1
 	var victimTotal uint64 = ^uint64(0)
 	for i := range t.slow {
 		e := &t.slow[i]
-		if !e.live || now.Sub(e.seen) > t.window {
+		if !t.alive(e, now) {
 			victim, victimTotal = i, 0
 			break
 		}
@@ -403,29 +365,30 @@ func (t *Tracer) offerSlow(w *[spanWords]uint64, total uint64, now time.Time) {
 	if victim < 0 || (victimTotal > 0 && total < victimTotal) {
 		return
 	}
-	t.slow[victim] = slowEntry{words: *w, total: total, seen: now, live: true}
-	floor := ^uint64(0)
-	full := true
+	t.slow[victim] = slowEntry{words: *w, total: total, end: now, live: true}
+	floor, oldest := ^uint64(0), now
 	for i := range t.slow {
 		e := &t.slow[i]
-		if !e.live || now.Sub(e.seen) > t.window {
-			full = false
-			continue
+		if !t.alive(e, now) {
+			floor = 0 // free slots: let everything through
+			break
 		}
-		if e.total < floor {
-			floor = e.total
-		}
-	}
-	if !full {
-		floor = 0 // free slots: let everything through
+		floor, oldest = min(floor, e.total), min(oldest, e.end)
 	}
 	t.slowGate.Store(floor)
+	t.gateUntil.Store(oldest + int64(t.window))
+}
+
+// alive reports whether e holds a span that has not aged out of the
+// window by now.
+func (t *Tracer) alive(e *slowEntry, now int64) bool {
+	return e.live && now-e.end <= int64(t.window)
 }
 
 // Recent appends up to max of the most recently retired spans to dst,
 // newest first. Spans a concurrent writer is overwriting are skipped.
 func (t *Tracer) Recent(dst []Span, max int) []Span {
-	n := len(t.recent)
+	n := recentN
 	if max <= 0 || max > n {
 		max = n
 	}
@@ -447,13 +410,12 @@ func (t *Tracer) Recent(dst []Span, max int) []Span {
 // Slow appends the live slowest-N window to dst, slowest first,
 // dropping entries that have aged out.
 func (t *Tracer) Slow(dst []Span) []Span {
-	now := time.Now()
+	now := time.Now().UnixNano()
 	t.slowMu.Lock()
-	entries := make([]slowEntry, 0, len(t.slow))
+	entries := make([]slowEntry, 0, slowN)
 	for i := range t.slow {
-		e := t.slow[i]
-		if e.live && now.Sub(e.seen) <= t.window {
-			entries = append(entries, e)
+		if e := &t.slow[i]; t.alive(e, now) {
+			entries = append(entries, *e)
 		}
 	}
 	t.slowMu.Unlock()
@@ -470,26 +432,13 @@ func (t *Tracer) Slow(dst []Span) []Span {
 	return dst
 }
 
-// Exemplar returns and resets the trace id and latency of the slowest
-// span retired since the previous call — the "exemplar-lite" link from
-// a histogram snapshot's max-latency observation to its trace.
-func (t *Tracer) Exemplar() (id, latNS uint64) {
-	t.exMu.Lock()
-	id, latNS = t.exID, t.exLat
-	t.exID, t.exLat = 0, 0
-	t.exMu.Unlock()
-	return id, latNS
-}
-
 // Stats is the tracer's own counter snapshot.
 type Stats struct {
 	// Retired counts spans completed and recorded.
 	Retired uint64
-	// Dropped counts traces skipped because the free list ran dry.
-	Dropped uint64
 }
 
 // Stats returns the tracer's counters.
 func (t *Tracer) Stats() Stats {
-	return Stats{Retired: t.retired.Load(), Dropped: t.dropped.Load()}
+	return Stats{Retired: t.retired.Load()}
 }

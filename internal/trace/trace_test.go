@@ -10,34 +10,34 @@ import (
 	"time"
 )
 
-// retireOne runs one synthetic span of the given total through t,
-// splitting the time over two stages so stage bookkeeping is visible.
-func retireOne(t *Tracer, id uint64, total time.Duration) {
-	s := t.Get()
-	if s == nil {
-		panic("free list dry in test")
+// marksAt returns a stage clock anchored at base whose stage st closes
+// at base+ends[st]; stages past the last end close with it.
+func marksAt(base time.Time, ends ...time.Duration) *[WireStages + 1]time.Time {
+	var marks [WireStages + 1]time.Time
+	marks[0] = base
+	for st := 0; st < WireStages; st++ {
+		marks[st+1] = base.Add(ends[min(st, len(ends)-1)])
 	}
+	return &marks
+}
+
+// retireOne runs one synthetic span of the given total through t,
+// splitting the time over decode, execute and flush so stage
+// bookkeeping is visible.
+func retireOne(t *Tracer, id uint64, total time.Duration) {
 	base := time.Now()
-	s.Begin(base)
+	s := NewSpan(marksAt(base, total/4, total/4, total/4, 3*total/4))
 	s.TraceID = id
 	s.Op, s.Key, s.Attempts, s.Batch = 3, 42, 1, 4
-	s.Stamp(StageDecode, base.Add(total/4))
-	s.Stamp(StageExecute, base.Add(3*total/4))
-	s.Finish(base.Add(total))
-	t.Retire(s)
+	s.Flushed(base.Add(total))
+	t.Retire(&s)
 }
 
 func TestStageSumEqualsTotal(t *testing.T) {
-	var s Span
 	base := time.Now()
-	s.Begin(base)
-	s.Stamp(StageDecode, base.Add(10*time.Microsecond))
-	s.Stamp(StageQueue, base.Add(15*time.Microsecond))
-	s.Stamp(StageAcquire, base.Add(17*time.Microsecond))
-	s.Stamp(StageExecute, base.Add(100*time.Microsecond))
-	s.Stamp(StagePersist, base.Add(130*time.Microsecond))
-	s.Stamp(StageFsync, base.Add(180*time.Microsecond))
-	s.Finish(base.Add(200 * time.Microsecond))
+	s := NewSpan(marksAt(base, 10*time.Microsecond, 15*time.Microsecond, 17*time.Microsecond,
+		100*time.Microsecond, 130*time.Microsecond, 180*time.Microsecond))
+	s.Flushed(base.Add(200 * time.Microsecond))
 	var sum uint64
 	for _, d := range s.Stages {
 		sum += d
@@ -50,6 +50,9 @@ func TestStageSumEqualsTotal(t *testing.T) {
 	}
 	if got := s.Stages[StageExecute]; got != uint64(83*time.Microsecond) {
 		t.Fatalf("execute stage = %v, want 83us", time.Duration(got))
+	}
+	if got := s.Stages[StageFlush]; got != uint64(20*time.Microsecond) {
+		t.Fatalf("flush stage = %v, want 20us", time.Duration(got))
 	}
 }
 
@@ -78,56 +81,63 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestRecentRingNewestFirstAndOverwrite(t *testing.T) {
-	tr := New(Config{Recent: 4, SlowN: 2})
-	for i := 1; i <= 6; i++ {
-		retireOne(tr, uint64(i), time.Duration(i)*time.Millisecond)
+	tr := New(Config{})
+	const n = recentN + 2
+	for i := 1; i <= n; i++ {
+		retireOne(tr, uint64(i), time.Duration(i)*time.Microsecond)
 	}
 	got := tr.Recent(nil, 0)
-	if len(got) != 4 {
-		t.Fatalf("recent returned %d spans, want 4 (ring capacity)", len(got))
+	if len(got) != recentN {
+		t.Fatalf("recent returned %d spans, want %d (ring capacity)", len(got), recentN)
 	}
-	want := []uint64{6, 5, 4, 3} // newest first; 1 and 2 overwritten
-	for i, s := range got {
-		if s.TraceID != want[i] {
-			t.Fatalf("recent[%d].TraceID = %d, want %d (all: %+v)", i, s.TraceID, want[i], got)
+	for i, s := range got { // newest first; 1 and 2 overwritten
+		if want := uint64(n - i); s.TraceID != want {
+			t.Fatalf("recent[%d].TraceID = %d, want %d", i, s.TraceID, want)
 		}
 	}
-}
-
-func TestFreeListRecyclesWithoutGrowth(t *testing.T) {
-	tr := New(Config{Recent: 2, MaxLive: 3})
-	for i := 0; i < 100; i++ {
-		retireOne(tr, uint64(i), time.Millisecond)
-	}
-	if st := tr.Stats(); st.Retired != 100 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v, want 100 retired / 0 dropped", st)
-	}
-	// Drain the free list: exactly MaxLive spans exist, ever.
-	var live int
-	for tr.Get() != nil {
-		live++
-	}
-	if live != 3 {
-		t.Fatalf("free list held %d spans, want MaxLive=3", live)
-	}
-	if st := tr.Stats(); st.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1 (the failed Get)", st.Dropped)
+	if got := tr.Recent(nil, 3); len(got) != 3 || got[0].TraceID != n {
+		t.Fatalf("recent capped at 3: %+v", got)
 	}
 }
 
 func TestSlowWindowKeepsSlowest(t *testing.T) {
-	tr := New(Config{SlowN: 3, Recent: 8})
-	for _, ms := range []int{5, 1, 9, 2, 7, 3} {
-		retireOne(tr, uint64(ms), time.Duration(ms)*time.Millisecond)
+	tr := New(Config{})
+	const n = slowN + 3
+	for i := 0; i < n; i++ { // totals 1..n µs in a scrambled order
+		id := uint64(i*7%n + 1)
+		retireOne(tr, id, time.Duration(id)*time.Microsecond)
 	}
 	got := tr.Slow(nil)
-	if len(got) != 3 {
-		t.Fatalf("slow window has %d spans, want 3", len(got))
+	if len(got) != slowN {
+		t.Fatalf("slow window has %d spans, want %d", len(got), slowN)
 	}
-	want := []uint64{9, 7, 5} // slowest first
-	for i, s := range got {
-		if s.TraceID != want[i] {
-			t.Fatalf("slow[%d].TraceID = %d, want %d", i, s.TraceID, want[i])
+	for i, s := range got { // slowest first; the 3 fastest evicted
+		if want := uint64(n - i); s.TraceID != want {
+			t.Fatalf("slow[%d].TraceID = %d, want %d", i, s.TraceID, want)
+		}
+	}
+}
+
+// TestSlowWindowRefillsAfterExpiry: once a full window's entries age
+// out, faster spans must enter it again — the gate that keeps them out
+// while the window is full lapses with its oldest entry.
+func TestSlowWindowRefillsAfterExpiry(t *testing.T) {
+	tr := New(Config{})
+	tr.window = 50 * time.Millisecond
+	for i := 0; i < slowN; i++ {
+		retireOne(tr, uint64(i+1), 10*time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond)
+	for i := 0; i < 5; i++ {
+		retireOne(tr, uint64(1000+i), time.Millisecond)
+	}
+	got := tr.Slow(nil)
+	if len(got) != 5 {
+		t.Fatalf("slow window after expiry has %d spans, want the 5 fresh ones: %+v", len(got), got)
+	}
+	for _, s := range got {
+		if s.TraceID < 1000 {
+			t.Fatalf("expired span %d still in the window", s.TraceID)
 		}
 	}
 }
@@ -136,7 +146,6 @@ func TestSlowThresholdLogsStructuredLine(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
 	tr := New(Config{
-		SlowN:         4,
 		SlowThreshold: 2 * time.Millisecond,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
@@ -158,25 +167,10 @@ func TestSlowThresholdLogsStructuredLine(t *testing.T) {
 	}
 }
 
-func TestExemplarTracksMaxAndResets(t *testing.T) {
-	tr := New(Config{Recent: 8, SlowN: 2})
-	retireOne(tr, 1, time.Millisecond)
-	retireOne(tr, 2, 9*time.Millisecond)
-	retireOne(tr, 3, 2*time.Millisecond)
-	id, lat := tr.Exemplar()
-	if id != 2 || lat != uint64(9*time.Millisecond) {
-		t.Fatalf("exemplar = (%d, %v), want trace 2 at 9ms", id, time.Duration(lat))
-	}
-	if id, _ = tr.Exemplar(); id != 0 {
-		t.Fatalf("exemplar did not reset: %d", id)
-	}
-}
-
 func TestConcurrentRetireAndRead(t *testing.T) {
 	// Retirement races /tracez + /slowz readers; under -race this pins
 	// that the rings are safe to scrape mid-load.
-	tr := New(Config{Recent: 16, SlowN: 4, SlowThreshold: time.Microsecond,
-		Logf: func(string, ...any) {}})
+	tr := New(Config{SlowThreshold: time.Microsecond, Logf: func(string, ...any) {}})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -189,30 +183,24 @@ func TestConcurrentRetireAndRead(t *testing.T) {
 					return
 				default:
 				}
-				s := tr.Get()
-				if s == nil {
-					continue
-				}
 				base := time.Now()
-				s.Begin(base)
+				s := NewSpan(marksAt(base, 0, 0, 0, time.Duration(i%7)*time.Microsecond))
 				s.TraceID = uint64(g)<<32 | uint64(i)
-				s.Stamp(StageExecute, base.Add(time.Duration(i%7)*time.Microsecond))
-				s.Finish(base.Add(time.Duration(i%11) * time.Microsecond))
-				tr.Retire(s)
+				s.Flushed(base.Add(time.Duration(i%7+i%11) * time.Microsecond))
+				tr.Retire(&s)
 			}
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
 		tr.Recent(nil, 0)
 		tr.Slow(nil)
-		tr.Exemplar()
 	}
 	close(stop)
 	wg.Wait()
 }
 
 func TestTracezAndSlowzHandlers(t *testing.T) {
-	tr := New(Config{Recent: 8, SlowN: 4, SampleN: 64})
+	tr := New(Config{SampleN: 64})
 	retireOne(tr, 0x1111, 3*time.Millisecond)
 	retireOne(tr, 0x2222, time.Millisecond)
 
@@ -259,17 +247,55 @@ func TestTracezAndSlowzHandlers(t *testing.T) {
 }
 
 func TestRetireDoesNotAllocate(t *testing.T) {
-	tr := New(Config{Recent: 8, SlowN: 4})
+	tr := New(Config{})
 	base := time.Now()
+	marks := marksAt(base, 0, 0, 0, time.Microsecond)
 	allocs := testing.AllocsPerRun(200, func() {
-		s := tr.Get()
-		s.Begin(base)
+		s := NewSpan(marks)
 		s.TraceID = 7
-		s.Stamp(StageExecute, base.Add(time.Microsecond))
-		s.Finish(base.Add(2 * time.Microsecond))
-		tr.Retire(s)
+		s.Flushed(base.Add(2 * time.Microsecond))
+		tr.Retire(&s)
 	})
 	if allocs != 0 {
-		t.Fatalf("Get+Retire allocates %.1f/op, want 0", allocs)
+		t.Fatalf("NewSpan+Retire allocates %.1f/op, want 0", allocs)
+	}
+}
+
+var tracerSink *Tracer
+
+// TestNewTracerAllocs guards construction cost: every server builds a
+// tracer, so New must stay a handful of allocations, not one per span
+// slot.
+func TestNewTracerAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() { tracerSink = New(Config{}) })
+	if allocs > 8 {
+		t.Fatalf("New allocates %.0f/op, want <= 8", allocs)
+	}
+}
+
+// TestNewIDUniqueNonzero draws from the one process-wide generator on
+// several goroutines at once, as concurrent connections do.
+func TestNewIDUniqueNonzero(t *testing.T) {
+	const goroutines, draws = 4, 2500
+	var ids [goroutines][draws]uint64
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ids[g] {
+				ids[g][i] = NewID()
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, goroutines*draws)
+	for g := range ids {
+		for _, id := range ids[g] {
+			if id == 0 || seen[id] {
+				t.Fatalf("id %x is zero or repeated", id)
+			}
+			seen[id] = true
+		}
 	}
 }

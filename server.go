@@ -36,7 +36,7 @@ func NewServer(m *Sharded, opts ...ServerOption) *Server {
 func WithServerMaxBatch(n int) ServerOption { return server.WithMaxBatch(n) }
 
 // WithServerLogf installs a logger for per-connection errors (default:
-// dropped).
+// discard them).
 func WithServerLogf(logf func(format string, args ...any)) ServerOption {
 	return server.WithLogf(logf)
 }
