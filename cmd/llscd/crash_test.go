@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"mwllsc/internal/client"
-	"mwllsc/internal/impls"
 	"mwllsc/internal/persist"
+	"mwllsc/internal/shard"
 )
 
 // The crash harness re-execs the test binary as a real llscd process so
@@ -141,7 +141,7 @@ func TestCrashRecovery(t *testing.T) {
 	nIssued, nAcked := issued.Load(), acked.Load()
 
 	// Recover the directory the way a restarted daemon would.
-	m, err := impls.NewSharded("jp", 8, 8, 2)
+	m, err := shard.NewMap(8, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestCrashRecoveryUnderDiskFault(t *testing.T) {
 
 	// Recover with a clean (fault-free) persistence layer, the way a
 	// restarted daemon on a healed disk would.
-	m, err := impls.NewSharded("jp", 8, 8, 2)
+	m, err := shard.NewMap(8, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	llscd [-addr 127.0.0.1:7787] [-shards 16] [-slots 16] [-words 2]
-//	      [-impl jp] [-maxbatch 64] [-stats 0] [-v] [-admin ""]
+//	      [-maxbatch 64] [-stats 0] [-v] [-admin ""]
 //	      [-dir ""] [-fsync everysec] [-checkpoint-interval 1m]
 //	      [-trace-sample 0] [-slow-threshold 0]
 //	      [-max-conns 0] [-idle-timeout 0] [-write-timeout 0]
@@ -69,15 +69,14 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"mwllsc/internal/fault"
-	"mwllsc/internal/impls"
 	"mwllsc/internal/obs"
 	"mwllsc/internal/persist"
 	"mwllsc/internal/server"
+	"mwllsc/internal/shard"
 	"mwllsc/internal/trace"
 )
 
@@ -95,7 +94,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		shards   = fs.Int("shards", 16, "number of independent multiword objects (K)")
 		slots    = fs.Int("slots", 16, "process slots shared by all shards (N); bounds concurrent batches")
 		words    = fs.Int("words", 2, "value width per shard in 64-bit words (W)")
-		impl     = fs.String("impl", "jp", "implementation backing each shard (one of "+strings.Join(impls.Names(), ",")+")")
 		maxBatch = fs.Int("maxbatch", 64, "max pipelined requests executed per registry acquisition")
 		statsDur = fs.Duration("stats", 0, "print a cumulative stats + latency line this often (0 = never)")
 		admin    = fs.String("admin", "", "admin HTTP listen address: /metrics, /statsz, /healthz, /debug/pprof (empty = disabled, port 0 picks a free port)")
@@ -119,7 +117,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "llscd: K=%d × W=%d words cannot fit a snapshot response in one wire frame\n", *shards, *words)
 		return 2
 	}
-	m, err := impls.NewSharded(*impl, *shards, *slots, *words)
+	m, err := shard.NewMap(*shards, *slots, *words)
 	if err != nil {
 		fmt.Fprintf(stderr, "llscd: %v\n", err)
 		return 1
@@ -196,8 +194,8 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		durable = "dir=" + *dir + " fsync=" + st.Policy().String()
 	}
 	fmt.Fprintf(stdout, "llscd: %s\n", obs.BuildInfo())
-	fmt.Fprintf(stdout, "llscd: serving K=%d shards × W=%d words (N=%d slots, impl=%s, maxbatch=%d, %s) on %s\n",
-		*shards, *words, *slots, *impl, *maxBatch, durable, bound)
+	fmt.Fprintf(stdout, "llscd: serving K=%d shards × W=%d words (N=%d slots, maxbatch=%d, %s) on %s\n",
+		*shards, *words, *slots, *maxBatch, durable, bound)
 
 	if *admin != "" {
 		reg := obs.NewRegistry()

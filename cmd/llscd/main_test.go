@@ -113,9 +113,14 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunBadImpl checks that -impl is gone: the daemon always serves the
+// paper's algorithm, so naming an implementation is an unknown flag. The
+// unusable address makes a daemon that still accepted -impl exit 1 rather
+// than serve.
 func TestRunBadImpl(t *testing.T) {
-	if code := run([]string{"-impl", "nonexistent"}, nil, &syncBuf{}, &syncBuf{}); code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
+	args := []string{"-impl", "jp", "-addr", "256.256.256.256:1"}
+	if code := run(args, nil, &syncBuf{}, &syncBuf{}); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
 	}
 }
 

@@ -36,8 +36,8 @@
 //
 // Goroutines are cheap and unbounded; process ids are neither. A Registry
 // (NewRegistry) multiplexes any number of goroutines onto the N slots:
-// Acquire checks out an exclusive id (blocking or spinning when all are
-// taken, per WaitPolicy), Release returns it. Inside an acquired slot
+// Acquire checks out an exclusive id (parking the goroutine until a
+// Release when all are taken), Release returns it. Inside an acquired slot
 // every operation keeps the paper's per-process guarantees; the only
 // waiting is for a slot itself, which is inherent — the object has exactly
 // N identities. Releasing an id that is not checked out (double release,
@@ -189,10 +189,12 @@
 //
 // # Substrates
 //
-// The paper assumes hardware single-word LL/SC. On Go's sync/atomic this
-// library offers two equivalent realizations: SubstrateTagged (default;
-// value+unique-tag packed in one word, zero allocation, astronomically
-// bounded tag space) and SubstratePtr (pointer-to-immutable-cell, exact and
+// The paper assumes hardware single-word LL/SC. On Go's sync/atomic each
+// such word is built from CAS, and the library picks the construction
+// itself from the object's geometry: a tagged word (value and a
+// mutation-unique tag packed in one uint64, zero allocation) wherever the
+// value and process-id fields leave at least 32 tag-counter bits, and
+// otherwise, word by word, a pointer to an immutable cell (exact and
 // unbounded, one small allocation per mutation). The E5 experiment
-// (cmd/llscbench -e e5) quantifies the trade-off.
+// (cmd/llscbench -e e5) prices the two constructions against each other.
 package mwllsc

@@ -62,10 +62,16 @@ import (
 // Option configures Dial.
 type Option func(*config)
 
+// Every connection attempt, initial and background redial alike, is
+// bounded by dialTimeout; sendQueue is each connection's send queue
+// depth, the pipelining window per connection.
+const (
+	dialTimeout = 5 * time.Second
+	sendQueue   = 256
+)
+
 type config struct {
 	conns       int
-	dialTimeout time.Duration
-	queue       int
 	opTimeout   time.Duration
 	maxRetries  int
 	backoffBase time.Duration
@@ -80,26 +86,6 @@ func WithConns(n int) Option {
 	return func(c *config) {
 		if n > 0 {
 			c.conns = n
-		}
-	}
-}
-
-// WithDialTimeout bounds each connection attempt (default 5s), initial
-// and background redial alike.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
-// WithSendQueue sets the per-connection send queue depth (default 256)
-// — the pipelining window per connection.
-func WithSendQueue(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.queue = n
 		}
 	}
 }
@@ -232,8 +218,8 @@ type slot struct {
 // synchronously — a dead target fails Dial instead of queueing calls.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	cfg := config{
-		conns: 1, dialTimeout: 5 * time.Second, queue: 256,
-		maxRetries: 3, backoffBase: 2 * time.Millisecond, backoffMax: 250 * time.Millisecond,
+		conns: 1, maxRetries: 3,
+		backoffBase: 2 * time.Millisecond, backoffMax: 250 * time.Millisecond,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -251,14 +237,14 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 }
 
 func (c *Client) dialConn() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.dialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // latency over bandwidth; coalescing happens in the writer
 	}
-	return newConn(nc, c.cfg.queue), nil
+	return newConn(nc), nil
 }
 
 // Close tears down every connection; in-flight calls fail with ErrClosed.
@@ -637,10 +623,10 @@ type conn struct {
 	broken error
 }
 
-func newConn(nc net.Conn, queue int) *conn {
+func newConn(nc net.Conn) *conn {
 	cn := &conn{
 		nc:   nc,
-		send: make(chan sendReq, queue),
+		send: make(chan sendReq, sendQueue),
 		dead: make(chan struct{}),
 		pend: make(map[uint64]*pending),
 	}

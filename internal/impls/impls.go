@@ -24,9 +24,7 @@ const JP = "jp"
 
 // registry maps implementation names to factories.
 var registry = map[string]mwobj.Factory{
-	JP: func(n, w int, initial []uint64) (mwobj.MW, error) {
-		return core.New(mem.NewReal(n, mem.SubstrateTagged), n, w, initial, nil)
-	},
+	JP: shard.DefaultFactory,
 	"jp-ptr": func(n, w int, initial []uint64) (mwobj.MW, error) {
 		return core.New(mem.NewReal(n, mem.SubstratePtr), n, w, initial, nil)
 	},

@@ -250,7 +250,7 @@ func TestBusyRejectTracedSpan(t *testing.T) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 
-	const traceID = 0xb05ec0de
+	const traceID uint64 = 0xb05ec0de
 	var buf []byte
 	for i := uint64(1); i <= 3; i++ {
 		req := &wire.Request{ID: i, Op: wire.OpRead, Key: i}

@@ -223,7 +223,7 @@ func TestIntegrationLoad(t *testing.T) {
 }
 
 // TestSlotOversubscription runs more connections than registry slots:
-// batches queue at the registry (Block policy) instead of failing.
+// batches queue at the registry instead of failing.
 func TestSlotOversubscription(t *testing.T) {
 	m, err := shard.NewMap(4, 2, 1) // only 2 slots
 	if err != nil {

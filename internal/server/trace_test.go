@@ -102,7 +102,7 @@ func TestTracedRequestRoundTrip(t *testing.T) {
 	addr := startTracedServer(t, tr)
 	rc := dialRaw(t, addr)
 
-	const traceID = 0x0123456789abcdef
+	const traceID uint64 = 0x0123456789abcdef
 	resp := rc.roundTrip(&wire.Request{
 		ID: 1, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: 7,
 		Args: []uint64{5, 6}, Traced: true, TraceID: traceID,

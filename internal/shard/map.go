@@ -50,7 +50,6 @@ type MapOption func(*mapConfig)
 
 type mapConfig struct {
 	factory mwobj.Factory
-	policy  WaitPolicy
 	initial []uint64
 }
 
@@ -60,25 +59,9 @@ func WithFactory(f mwobj.Factory) MapOption {
 	return func(c *mapConfig) { c.factory = f }
 }
 
-// WithMapWaitPolicy selects the registry's exhaustion behavior.
-func WithMapWaitPolicy(p WaitPolicy) MapOption {
-	return func(c *mapConfig) { c.policy = p }
-}
-
 // WithInitial sets every shard's initial value (len must be w).
 func WithInitial(v []uint64) MapOption {
 	return func(c *mapConfig) { c.initial = v }
-}
-
-// WithSubstrate builds each shard with the paper's algorithm on the given
-// single-word substrate. Mutually exclusive with WithFactory (later option
-// wins).
-func WithSubstrate(s mem.Substrate) MapOption {
-	return func(c *mapConfig) {
-		c.factory = func(n, w int, initial []uint64) (mwobj.MW, error) {
-			return core.New(mem.NewReal(n, s), n, w, initial, nil)
-		}
-	}
 }
 
 // DefaultFactory builds the paper's algorithm on the tagged substrate —
@@ -98,7 +81,7 @@ func NewMap(k, n, w int, opts ...MapOption) (*Map, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("shard: map needs w >= 1 words, got %d", w)
 	}
-	cfg := mapConfig{factory: DefaultFactory, policy: Block}
+	cfg := mapConfig{factory: DefaultFactory}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -108,7 +91,7 @@ func NewMap(k, n, w int, opts ...MapOption) (*Map, error) {
 	if len(cfg.initial) != w {
 		return nil, fmt.Errorf("shard: initial value has %d words, want %d", len(cfg.initial), w)
 	}
-	reg, err := NewRegistry(n, WithWaitPolicy(cfg.policy))
+	reg, err := NewRegistry(n)
 	if err != nil {
 		return nil, err
 	}

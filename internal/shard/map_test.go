@@ -307,13 +307,13 @@ func TestMapConcurrentCounters(t *testing.T) {
 }
 
 // TestMapHandlePinned exercises the long-lived-handle path: one handle per
-// goroutine, many updates each, with spin policy.
+// goroutine, many updates each.
 func TestMapHandlePinned(t *testing.T) {
 	const (
 		goroutines = 8
 		perG       = 1000
 	)
-	m, err := NewMap(8, goroutines, 2, WithMapWaitPolicy(Spin))
+	m, err := NewMap(8, goroutines, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,60 +68,60 @@ func TestMapHandleDoubleReleaseDoesNotFreeSlot(t *testing.T) {
 }
 
 // TestMapAcquireStorm oversubscribes a small map's registry from many
-// goroutines under both wait policies, with every goroutine doing real
-// per-key and cross-shard work between Acquire and Release. The final
+// goroutines, with every goroutine doing real per-key and cross-shard
+// work between Acquire and Release. The final
 // counter total checks that no operation was lost or doubled — the
 // symptom aliased ids would produce.
-func TestMapAcquireStorm(t *testing.T) {
-	for _, policy := range []WaitPolicy{Block, Spin} {
-		t.Run(policy.String(), func(t *testing.T) {
-			const (
-				slots      = 3
-				goroutines = 16
-				iters      = 100
-			)
-			m, err := NewMap(4, slots, 1, WithMapWaitPolicy(policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						h := m.Acquire()
-						if i%8 == 0 {
-							h.UpdateMulti([]uint64{uint64(g), uint64(g + 1)}, func(vals [][]uint64) {
-								for _, v := range vals {
-									v[0]++
-								}
-							})
-						} else {
-							h.Update(uint64(g*iters+i), func(v []uint64) { v[0]++ })
+//
+// The subtest is named for the blocking Acquire it exercises.
+func TestMapAcquireStorm(t *testing.T) { t.Run("block", mapAcquireStorm) }
+
+func mapAcquireStorm(t *testing.T) {
+	const (
+		slots      = 3
+		goroutines = 16
+		iters      = 100
+	)
+	m, err := NewMap(4, slots, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				h := m.Acquire()
+				if i%8 == 0 {
+					h.UpdateMulti([]uint64{uint64(g), uint64(g + 1)}, func(vals [][]uint64) {
+						for _, v := range vals {
+							v[0]++
 						}
-						h.Release()
-					}
-				}(g)
+					})
+				} else {
+					h.Update(uint64(g*iters+i), func(v []uint64) { v[0]++ })
+				}
+				h.Release()
 			}
-			wg.Wait()
-			if got := m.Registry().InUse(); got != 0 {
-				t.Fatalf("%d slots still in use after storm", got)
-			}
-			snap := m.NewSnapshotBuffer()
-			m.SnapshotAtomic(snap)
-			var total uint64
-			for _, row := range snap {
-				total += row[0]
-			}
-			// Each goroutine: iters/8 rounded up multi ops counting 2, the
-			// rest counting 1.
-			multis := (iters + 7) / 8
-			want := uint64(goroutines * (2*multis + (iters - multis)))
-			if total != want {
-				t.Fatalf("counter total %d, want %d (lost or doubled updates)", total, want)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if got := m.Registry().InUse(); got != 0 {
+		t.Fatalf("%d slots still in use after storm", got)
+	}
+	snap := m.NewSnapshotBuffer()
+	m.SnapshotAtomic(snap)
+	var total uint64
+	for _, row := range snap {
+		total += row[0]
+	}
+	// Each goroutine: iters/8 rounded up multi ops counting 2, the
+	// rest counting 1.
+	multis := (iters + 7) / 8
+	want := uint64(goroutines * (2*multis + (iters - multis)))
+	if total != want {
+		t.Fatalf("counter total %d, want %d (lost or doubled updates)", total, want)
 	}
 }
 

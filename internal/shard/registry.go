@@ -12,35 +12,9 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"unsafe"
 )
-
-// WaitPolicy selects how Registry.Acquire behaves when all process slots
-// are checked out.
-type WaitPolicy int
-
-const (
-	// Block parks the acquiring goroutine until a slot is released
-	// (channel-based; the runtime wakes it). The default.
-	Block WaitPolicy = iota
-	// Spin retries with runtime.Gosched between attempts. Lower latency
-	// when slots turn over quickly; burns CPU when they do not.
-	Spin
-)
-
-// String returns the policy name.
-func (p WaitPolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case Spin:
-		return "spin"
-	default:
-		return fmt.Sprintf("WaitPolicy(%d)", int(p))
-	}
-}
 
 // slot is the per-process-id ownership flag, padded to its own cache line
 // so concurrent acquire/release traffic on neighboring ids does not false
@@ -61,36 +35,23 @@ type slot struct {
 // — the object only has N identities). Within an acquired slot, every
 // LL/SC/VL retains the paper's guarantees.
 type Registry struct {
-	n      int
-	policy WaitPolicy
-	free   chan int
-	slots  []slot
+	n     int
+	free  chan int
+	slots []slot
 
 	acquires atomic.Int64
 	waited   atomic.Int64
 }
 
-// RegistryOption configures NewRegistry.
-type RegistryOption func(*Registry)
-
-// WithWaitPolicy selects the exhaustion behavior (default Block).
-func WithWaitPolicy(p WaitPolicy) RegistryOption {
-	return func(r *Registry) { r.policy = p }
-}
-
 // NewRegistry creates a registry over process ids [0, n).
-func NewRegistry(n int, opts ...RegistryOption) (*Registry, error) {
+func NewRegistry(n int) (*Registry, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: registry needs n >= 1 slots, got %d", n)
 	}
 	r := &Registry{
-		n:      n,
-		policy: Block,
-		free:   make(chan int, n),
-		slots:  make([]slot, n),
-	}
-	for _, opt := range opts {
-		opt(r)
+		n:     n,
+		free:  make(chan int, n),
+		slots: make([]slot, n),
 	}
 	for p := 0; p < n; p++ {
 		r.free <- p
@@ -101,11 +62,8 @@ func NewRegistry(n int, opts ...RegistryOption) (*Registry, error) {
 // N returns the number of process slots.
 func (r *Registry) N() int { return r.n }
 
-// Policy returns the configured exhaustion behavior.
-func (r *Registry) Policy() WaitPolicy { return r.policy }
-
-// Acquire checks out an exclusive process id, waiting (per the configured
-// WaitPolicy) if all n are in use. The id must be returned with Release
+// Acquire checks out an exclusive process id, parking the goroutine
+// until a Release if all n are in use. The id must be returned with Release
 // and must be driven by only the acquiring goroutine in between.
 func (r *Registry) Acquire() int {
 	r.acquires.Add(1)
@@ -114,17 +72,6 @@ func (r *Registry) Acquire() int {
 	case p = <-r.free:
 	default:
 		r.waited.Add(1)
-		if r.policy == Spin {
-			for {
-				select {
-				case p = <-r.free:
-					r.claim(p)
-					return p
-				default:
-					runtime.Gosched()
-				}
-			}
-		}
 		p = <-r.free
 	}
 	r.claim(p)

@@ -83,27 +83,6 @@ func TestRegistryBlockingAcquireWaits(t *testing.T) {
 	r.Release(p)
 }
 
-func TestRegistrySpinPolicy(t *testing.T) {
-	r, err := NewRegistry(1, WithWaitPolicy(Spin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Policy() != Spin {
-		t.Fatalf("Policy() = %v, want Spin", r.Policy())
-	}
-	p := r.Acquire()
-	done := make(chan int)
-	go func() { done <- r.Acquire() }()
-	time.Sleep(5 * time.Millisecond)
-	r.Release(p)
-	select {
-	case q := <-done:
-		r.Release(q)
-	case <-time.After(time.Second):
-		t.Fatal("spinning Acquire never got the released slot")
-	}
-}
-
 func TestRegistryReleasePanics(t *testing.T) {
 	r, err := NewRegistry(2)
 	if err != nil {
@@ -131,52 +110,52 @@ func TestRegistryReleasePanics(t *testing.T) {
 // TestRegistryOversubscribed hammers a small registry from many more
 // goroutines than slots and checks mutual exclusion: no two goroutines may
 // hold the same id at once.
-func TestRegistryOversubscribed(t *testing.T) {
-	for _, policy := range []WaitPolicy{Block, Spin} {
-		t.Run(policy.String(), func(t *testing.T) {
-			const (
-				slots      = 3
-				goroutines = 24
-				iters      = 200
-			)
-			r, err := NewRegistry(slots, WithWaitPolicy(policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			owner := make([]int32, slots) // 0 = free; else goroutine id+1
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						p := r.Acquire()
-						mu.Lock()
-						if owner[p] != 0 {
-							mu.Unlock()
-							t.Errorf("id %d acquired by goroutine %d while held by %d", p, g, owner[p]-1)
-							r.Release(p)
-							return
-						}
-						owner[p] = int32(g) + 1
-						mu.Unlock()
+//
+// The subtest is named for the blocking Acquire it exercises.
+func TestRegistryOversubscribed(t *testing.T) { t.Run("block", registryOversubscribed) }
 
-						mu.Lock()
-						owner[p] = 0
-						mu.Unlock()
-						r.Release(p)
-					}
-				}(g)
+func registryOversubscribed(t *testing.T) {
+	const (
+		slots      = 3
+		goroutines = 24
+		iters      = 200
+	)
+	r, err := NewRegistry(slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := make([]int32, slots) // 0 = free; else goroutine id+1
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				p := r.Acquire()
+				mu.Lock()
+				if owner[p] != 0 {
+					mu.Unlock()
+					t.Errorf("id %d acquired by goroutine %d while held by %d", p, g, owner[p]-1)
+					r.Release(p)
+					return
+				}
+				owner[p] = int32(g) + 1
+				mu.Unlock()
+
+				mu.Lock()
+				owner[p] = 0
+				mu.Unlock()
+				r.Release(p)
 			}
-			wg.Wait()
-			if got := r.InUse(); got != 0 {
-				t.Fatalf("InUse() = %d after all goroutines finished, want 0", got)
-			}
-			s := r.Stats()
-			if s.Acquires != goroutines*iters {
-				t.Fatalf("Acquires = %d, want %d", s.Acquires, goroutines*iters)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if got := r.InUse(); got != 0 {
+		t.Fatalf("InUse() = %d after all goroutines finished, want 0", got)
+	}
+	s := r.Stats()
+	if s.Acquires != goroutines*iters {
+		t.Fatalf("Acquires = %d, want %d", s.Acquires, goroutines*iters)
 	}
 }

@@ -541,10 +541,13 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	if n > MaxFrame {
-		return buf, fmt.Errorf("wire: incoming frame of %d bytes exceeds MaxFrame %d", n, MaxFrame)
+	// Compare before narrowing: on 32-bit platforms int(u) of an
+	// untrusted length of 2^31 or more is negative and would pass.
+	u := binary.LittleEndian.Uint32(buf[:4])
+	if u > MaxFrame {
+		return buf, fmt.Errorf("wire: incoming frame of %d bytes exceeds MaxFrame %d", u, MaxFrame)
 	}
+	n := int(u)
 	switch {
 	case cap(buf) < n:
 		c := n

@@ -8,21 +8,6 @@ import (
 	"mwllsc/internal/mwobj"
 )
 
-// Substrate selects how single-word LL/SC objects are built from CAS; see
-// the package documentation.
-type Substrate = mem.Substrate
-
-// Substrate choices.
-const (
-	// SubstrateTagged packs value and a mutation-unique tag into one
-	// uint64: zero allocation, tag space bounded (>= 2^32 mutations per
-	// process per word). The default.
-	SubstrateTagged = mem.SubstrateTagged
-	// SubstratePtr uses CAS on pointers to immutable cells: exact,
-	// unbounded, one allocation per mutation.
-	SubstratePtr = mem.SubstratePtr
-)
-
 // Stats is a point-in-time snapshot of the object's internal counters;
 // see Object.Stats.
 type Stats = core.StatsSnapshot
@@ -39,17 +24,11 @@ type Object struct {
 }
 
 type options struct {
-	substrate Substrate
-	stats     bool
+	stats bool
 }
 
 // Option configures New.
 type Option func(*options)
-
-// WithSubstrate selects the single-word LL/SC construction.
-func WithSubstrate(s Substrate) Option {
-	return func(o *options) { o.substrate = s }
-}
 
 // WithStats enables the internal event counters read by Object.Stats
 // (a few atomic increments per operation).
@@ -63,7 +42,7 @@ func New(n, w int, initial []uint64, opts ...Option) (*Object, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mwllsc: n must be >= 1, got %d", n)
 	}
-	cfg := options{substrate: SubstrateTagged}
+	var cfg options
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -71,7 +50,7 @@ func New(n, w int, initial []uint64, opts ...Option) (*Object, error) {
 	if cfg.stats {
 		stats = &core.Stats{}
 	}
-	obj, err := core.New(mem.NewReal(n, cfg.substrate), n, w, initial, stats)
+	obj, err := core.New(mem.NewReal(n, mem.SubstrateTagged), n, w, initial, stats)
 	if err != nil {
 		return nil, fmt.Errorf("mwllsc: %w", err)
 	}
@@ -147,9 +126,12 @@ func (h *Handle) SC(src []uint64) bool { return h.obj.SC(h.p, src) }
 // LL. Wait-free, O(1).
 func (h *Handle) VL() bool { return h.obj.VL(h.p) }
 
-// Read copies the current value into dst without keeping a link — a
-// wait-free atomic multiword read (one LL).
-func (h *Handle) Read(dst []uint64) { h.obj.LL(h.p, dst) }
+// Read copies the current value into dst (len(dst) must be W) without
+// keeping a link: a wait-free atomic multiword read that writes no shared
+// memory, W+2 steps unless an SC lands during the copy. After Read, SC
+// fails until the next LL, and VL still reports whether an SC has
+// succeeded since the value was read.
+func (h *Handle) Read(dst []uint64) { h.obj.Read(h.p, dst) }
 
 // Update atomically applies f to the variable: it runs the LL -> f -> SC
 // loop until the SC lands and returns the number of attempts. f receives

@@ -1,9 +1,6 @@
 package mwllsc
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestPublicAPIQuickPath(t *testing.T) {
 	obj, err := New(4, 3, []uint64{1, 2, 3})
@@ -85,46 +82,6 @@ func TestStatsEnabled(t *testing.T) {
 	}
 	if snap.LLTotal != 1 || snap.SCSuccess != 1 {
 		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
-func TestSubstrates(t *testing.T) {
-	for _, s := range []Substrate{SubstrateTagged, SubstratePtr} {
-		t.Run(s.String(), func(t *testing.T) {
-			obj, err := New(4, 2, []uint64{0, 0}, WithSubstrate(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			successes := make([]int64, 4)
-			for p := 0; p < 4; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					h := obj.Handle(p)
-					v := make([]uint64, 2)
-					for i := 0; i < 1000; i++ {
-						h.LL(v)
-						if v[0] != v[1] {
-							t.Errorf("torn read %v", v)
-							return
-						}
-						if h.SC([]uint64{v[0] + 1, v[1] + 1}) {
-							successes[p]++
-						}
-					}
-				}(p)
-			}
-			wg.Wait()
-			var total int64
-			for _, c := range successes {
-				total += c
-			}
-			final := obj.Handle(0).LLNew()
-			if int64(final[0]) != total {
-				t.Fatalf("final %d != successes %d", final[0], total)
-			}
-		})
 	}
 }
 

@@ -13,32 +13,11 @@ type Registry = shard.Registry
 // RegistryStats is a snapshot of registry counters; see Registry.Stats.
 type RegistryStats = shard.RegistryStats
 
-// WaitPolicy selects how Registry.Acquire behaves when all process slots
-// are checked out: Block (park until a Release) or Spin (retry with
-// Gosched).
-type WaitPolicy = shard.WaitPolicy
-
-// WaitPolicy choices.
-const (
-	// Block parks the acquiring goroutine until a slot is released.
-	Block = shard.Block
-	// Spin retries with runtime.Gosched between attempts.
-	Spin = shard.Spin
-)
-
-// RegistryOption configures NewRegistry.
-type RegistryOption = shard.RegistryOption
-
 // NewRegistry creates a registry over process ids [0, n). Pair it with an
 // Object created for the same n: acquire an id, call Object.Handle(id),
 // and release when done.
-func NewRegistry(n int, opts ...RegistryOption) (*Registry, error) {
-	return shard.NewRegistry(n, opts...)
-}
-
-// WithWaitPolicy selects the Registry exhaustion behavior (default Block).
-func WithWaitPolicy(p WaitPolicy) RegistryOption {
-	return shard.WithWaitPolicy(p)
+func NewRegistry(n int) (*Registry, error) {
+	return shard.NewRegistry(n)
 }
 
 // Sharded is a K-shard array of independent N-process W-word LL/SC/VL
@@ -65,22 +44,10 @@ func WithShardedInitial(v []uint64) ShardedOption {
 	return shard.WithInitial(v)
 }
 
-// WithShardedWaitPolicy selects the exhaustion behavior of the map's
-// registry (default Block).
-func WithShardedWaitPolicy(p WaitPolicy) ShardedOption {
-	return shard.WithMapWaitPolicy(p)
-}
-
-// WithShardedSubstrate selects the single-word LL/SC construction each
-// shard is built on (default SubstrateTagged).
-func WithShardedSubstrate(s Substrate) ShardedOption {
-	return shard.WithSubstrate(s)
-}
-
 // NewSharded creates a map of k shards, each an n-process w-word LL/SC/VL
 // object built by the paper's algorithm. n bounds the number of
 // concurrently operating goroutines; additional goroutines wait at the
-// registry per the configured WaitPolicy.
+// registry until a slot is released.
 func NewSharded(k, n, w int, opts ...ShardedOption) (*Sharded, error) {
 	return shard.NewMap(k, n, w, opts...)
 }

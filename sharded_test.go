@@ -11,17 +11,12 @@ import (
 func TestNewShardedOptions(t *testing.T) {
 	m, err := mwllsc.NewSharded(4, 2, 3,
 		mwllsc.WithShardedInitial([]uint64{1, 2, 3}),
-		mwllsc.WithShardedWaitPolicy(mwllsc.Spin),
-		mwllsc.WithShardedSubstrate(mwllsc.SubstratePtr),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Shards() != 4 || m.N() != 2 || m.W() != 3 {
 		t.Fatalf("geometry = %d/%d/%d, want 4/2/3", m.Shards(), m.N(), m.W())
-	}
-	if m.Registry().Policy() != mwllsc.Spin {
-		t.Fatalf("policy = %v, want Spin", m.Registry().Policy())
 	}
 	v := make([]uint64, 3)
 	m.Read(99, v)
@@ -39,7 +34,7 @@ func TestRegistryWithObjectHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := mwllsc.NewRegistry(n, mwllsc.WithWaitPolicy(mwllsc.Block))
+	reg, err := mwllsc.NewRegistry(n)
 	if err != nil {
 		t.Fatal(err)
 	}

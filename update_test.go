@@ -42,6 +42,46 @@ func TestHandleReadDoesNotDisturbOthers(t *testing.T) {
 	}
 }
 
+// TestHandleReadKeepsNoLink checks Read's contract: it leaves no link an
+// SC can use, so SC fails until the next LL, while VL still reports
+// whether an SC has succeeded since the value was read.
+func TestHandleReadKeepsNoLink(t *testing.T) {
+	obj, err := New(2, 2, []uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, writer := obj.Handle(0), obj.Handle(1)
+	v := make([]uint64, 2)
+	reader.LL(v)
+	reader.Read(v)
+	if v[0] != 1 || v[1] != 2 {
+		t.Fatalf("Read = %v, want [1 2]", v)
+	}
+	if !reader.VL() {
+		t.Fatal("VL false after Read with no intervening SC")
+	}
+	if reader.SC([]uint64{7, 7}) {
+		t.Fatal("SC after Read succeeded; Read must not leave a link")
+	}
+	writer.LL(v)
+	if !writer.SC([]uint64{3, 4}) {
+		t.Fatal("writer SC failed")
+	}
+	if reader.VL() {
+		t.Fatal("VL true after an intervening SC")
+	}
+	if reader.SC([]uint64{7, 7}) {
+		t.Fatal("SC after Read succeeded with no LL in between")
+	}
+	reader.LL(v)
+	if v[0] != 3 || v[1] != 4 {
+		t.Fatalf("LL = %v, want [3 4]", v)
+	}
+	if !reader.SC([]uint64{5, 6}) {
+		t.Fatal("SC after a fresh LL failed")
+	}
+}
+
 func TestHandleUpdateConcurrentExactlyOnce(t *testing.T) {
 	const (
 		n   = 8
